@@ -3,9 +3,14 @@
 Intended for cross-checking the constructive labelings on small graphs.
 The search assigns labels edge by edge in a vertex-clustering order,
 prunes on adjacent completed-sum ties, and bounds by the number of
-distinct sums already frozen.  A hard edge budget keeps accidental huge
-inputs from hanging; raise it explicitly (or via the
-ANTIMAGIC_BUDGET_EDGES environment variable) when you mean it.
+distinct sums already frozen.  It starts from two lower bounds: the
+chromatic number (χ ≤ χ_la, Arumugam et al. 2017) and, on a connected
+graph, 3 when the paper's necessary conditions for two sums fail
+(``check_two_color_necessary``).  Every connected graph except K_2 has a
+local antimagic labeling (Haslegrave 2018), so on those it ends with a
+witness.  A hard edge budget keeps accidental huge inputs from hanging;
+raise it explicitly (or via the ANTIMAGIC_BUDGET_EDGES environment
+variable) when you mean it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .graphs import Graph
-from .labelings import EdgeLabeling
+from .labelings import EdgeLabeling, check_two_color_necessary
 
 
 DEFAULT_MAX_EDGES = 10
@@ -24,7 +29,11 @@ BUDGET_ENV = "ANTIMAGIC_BUDGET_EDGES"
 
 
 class BudgetExceeded(RuntimeError):
-    pass
+    """A budget was hit after ``nodes`` search nodes, over every k tried."""
+
+    def __init__(self, message: str, nodes: int = 0):
+        super().__init__(message)
+        self.nodes = nodes
 
 
 def _default_max_edges() -> int:
@@ -48,37 +57,45 @@ class OracleResult:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number by backtracking, highest degree first."""
+    """Exact chromatic number by backtracking, highest degree first, on an
+    explicit stack so that long cycles stay within the recursion limit."""
     if g.n == 0:
         return 0
     if g.q == 0:
         return 1
     order = sorted(range(g.n), key=lambda v: -g.degrees[v])
-    color = [-1] * g.n
-
-    def feasible(k: int) -> bool:
-        def backtrack(i: int, used: int) -> bool:
-            if i == g.n:
-                return True
+    for k in range(2, g.n):
+        # Depth i colors order[i]: tried[i] is its current color, used[i]
+        # the colors in use before it.  Trying at most one fresh color
+        # kills color-permutation symmetry.
+        color, tried, used = [-1] * g.n, [-1] * g.n, [0] * (g.n + 1)
+        i = 0
+        while 0 <= i < g.n:
             v = order[i]
-            taken = {color[w] for w in g.adjacency[v] if color[w] != -1}
-            # Try at most one fresh color to kill color-permutation symmetry.
-            for c in range(min(used + 1, k)):
-                if c not in taken:
-                    color[v] = c
-                    if backtrack(i + 1, max(used, c + 1)):
-                        return True
             color[v] = -1
-            return False
-
-        for v in range(g.n):
-            color[v] = -1
-        return backtrack(0, 0)
-
-    for k in range(2, g.n + 1):
-        if feasible(k):
+            taken = {color[w] for w in g.adjacency[v]}
+            fresh = min(used[i] + 1, k)
+            c = next((x for x in range(tried[i] + 1, fresh) if x not in taken), -1)
+            tried[i] = c
+            if c < 0:
+                i -= 1
+            else:
+                color[v] = c
+                used[i + 1] = max(used[i], c + 1)
+                i += 1
+        if i == g.n:
             return k
     return g.n
+
+
+def _two_sums_refuted(g: Graph) -> bool:
+    """Whether the paper's necessary conditions rule out at most two sums.
+    Sound only on connected graphs, whose bipartition is unique."""
+    return (
+        g.q >= 1
+        and g.is_connected()
+        and not check_two_color_necessary(g).two_colors_possible
+    )
 
 
 def _edge_order(g: Graph) -> list[int]:
@@ -115,33 +132,35 @@ class _Search:
         self.g = g
         self.budget = budget
         self.order = _edge_order(g)
+        self.nodes = 0
+
+    def run(self, max_colors: int) -> Optional[list[int]]:
+        """First labeling found with at most max_colors distinct sums.  The
+        node and time limits apply to each run; ``self.nodes`` adds up the
+        nodes of every run."""
+        g = self.g
         self.sums = [0] * g.n
         self.remaining = list(g.degrees)
         self.labels = [0] * g.q
         self.free = [True] * (g.q + 1)
-        self.nodes = 0
+        self.run_nodes = 0
         self.start = time.perf_counter()
         # Sums of completed vertices, with multiplicity, for the bound.
-        self.frozen: dict[int, int] = {}
-        for v in range(g.n):
-            if g.degrees[v] == 0:
-                self.frozen[0] = self.frozen.get(0, 0) + 1
+        self.frozen = {0: g.degrees.count(0)} if 0 in g.degrees else {}
+        return self._extend(0, max_colors)
 
     def _tick(self):
         self.nodes += 1
+        self.run_nodes += 1
         b = self.budget
-        if b.node_limit is not None and self.nodes > b.node_limit:
-            raise BudgetExceeded(f"node limit {b.node_limit} exceeded")
+        if b.node_limit is not None and self.run_nodes > b.node_limit:
+            raise BudgetExceeded(f"node limit {b.node_limit} exceeded", self.nodes)
         if (
             b.time_limit is not None
-            and self.nodes % 1024 == 0
+            and self.run_nodes % 1024 == 0
             and time.perf_counter() - self.start > b.time_limit
         ):
-            raise BudgetExceeded(f"time limit {b.time_limit}s exceeded")
-
-    def run(self, max_colors: int) -> Optional[list[int]]:
-        """First labeling found with at most max_colors distinct sums."""
-        return self._extend(0, max_colors)
+            raise BudgetExceeded(f"time limit {b.time_limit}s exceeded", self.nodes)
 
     def _extend(self, i: int, max_colors: int) -> Optional[list[int]]:
         g = self.g
@@ -203,8 +222,12 @@ def feasible_with_colors(
     g: Graph, k: int, budget: Optional[SearchBudget] = None
 ) -> Optional[EdgeLabeling]:
     """A local antimagic labeling of g with at most k distinct sums, or
-    None after an exhaustive search finds none."""
+    None after an exhaustive search finds none.  For k <= 2 on a
+    connected graph that fails the two-sum conditions, None comes without
+    a search."""
     search = _Search(g, budget or SearchBudget())
+    if k <= 2 and _two_sums_refuted(g):
+        return None
     found = search.run(k)
     return EdgeLabeling(tuple(found)) if found is not None else None
 
@@ -213,21 +236,23 @@ def exact_chi_la(g: Graph, budget: Optional[SearchBudget] = None) -> OracleResul
     """Exact minimum number of induced sums over all local antimagic
     labelings, with a witness labeling.
 
-    Starts at the chromatic number (adjacent vertices need distinct sums,
-    so any labeling properly colors the graph) and increases until a
-    witness exists.  Raises if no labeling exists at all, which among
-    connected graphs only happens for a single edge.
+    Starts at the larger of two lower bounds and increases until a
+    witness exists.  One is the chromatic number, since adjacent vertices
+    need distinct sums (χ ≤ χ_la, Arumugam et al. 2017); the other is 3
+    on a connected graph that fails the two-sum conditions of
+    ``check_two_color_necessary``.  Raises ValueError if no labeling
+    exists at all, which among connected graphs happens only for K_2
+    (Haslegrave 2018).  The edge budget is checked before any work.
     """
-    budget = budget or SearchBudget()
     start = time.perf_counter()
-    nodes = 0
+    search = _Search(g, budget or SearchBudget())
     lower = chromatic_number(g)
+    if lower < 3 and _two_sums_refuted(g):
+        lower = 3
     for k in range(lower, g.n + 1):
-        search = _Search(g, budget)
         found = search.run(k)
-        nodes += search.nodes
         if found is not None:
             return OracleResult(
-                k, EdgeLabeling(tuple(found)), nodes, time.perf_counter() - start
+                k, EdgeLabeling(tuple(found)), search.nodes, time.perf_counter() - start
             )
     raise ValueError("graph admits no local antimagic labeling")

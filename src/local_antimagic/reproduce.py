@@ -2,8 +2,10 @@
 
 Each claim is a named callable that raises AssertionError (or any
 exception) when the computation no longer reproduces the recorded
-outcome.  ``run_all`` executes them in order and reports per-claim
-status; the CLI exposes this as ``antimagic reproduce-all``.
+outcome.  The checks raise explicitly rather than with ``assert``, so
+they still run under ``python -O``.  ``run_all`` executes them in order
+and reports per-claim status; the CLI exposes this as
+``antimagic reproduce-all``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ from .unions import (
 from .oracle import BudgetExceeded, exact_chi_la, feasible_with_colors
 
 
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise AssertionError(what)
+
+
 def counterexample_graph() -> Graph:
     """A 7-vertex path with two chords: its bipartition sizes pass the
     divisibility conditions for 2 colors, yet it needs at least 3."""
@@ -56,8 +63,8 @@ def counterexample_graph() -> Graph:
 def claim_cycle_colors():
     for m in range(3, 201):
         count, classes = color_count(build_cycle(m), c_labeling(m))
-        assert frozenset(classes) == frozenset(c_labeling_sums(m))
-        assert count == 3
+        _check(frozenset(classes) == frozenset(c_labeling_sums(m)), f"C_{m} sums")
+        _check(count == 3, f"C_{m} has {count} sums, not 3")
 
 
 def claim_circulant_colors():
@@ -68,15 +75,17 @@ def claim_circulant_colors():
             steps = tuple(coprime[: t + 1])
             graph, labeling = circulant_labeling(CirculantSpec(m, steps))
             coloring = induced_coloring(graph, labeling)
-            assert coloring.colors == circulant_colors(m // 2, t)
+            _check(
+                coloring.colors == circulant_colors(m // 2, t), f"C_{m}{steps} sums"
+            )
 
 
 def claim_c16_pair():
     s13 = circulant_spectrum(CirculantSpec(16, (1, 3)))
     s17 = circulant_spectrum(CirculantSpec(16, (1, 7)))
-    assert not spectra_equal(s13, s17)
-    assert abs(s13[0] - 4.0) < 1e-9 and abs(s17[0] - 4.0) < 1e-9
-    assert abs(s13[8] + 4.0) < 1e-9 and abs(s17[8] + 4.0) < 1e-9
+    _check(not spectra_equal(s13, s17), "spectra are equal")
+    _check(abs(s13[0] - 4.0) < 1e-9 and abs(s17[0] - 4.0) < 1e-9, "eigenvalue 4")
+    _check(abs(s13[8] + 4.0) < 1e-9 and abs(s17[8] + 4.0) < 1e-9, "eigenvalue -4")
     multiplier_isomorphism(16, 3, 11)
     multiplier_isomorphism(16, 5, 13)
 
@@ -96,28 +105,35 @@ def claim_construction_matrices():
     for s in (2, 3):
         for t in (0, 1, 2):
             built = build_construction_matrix(s, t)
-            assert len(built.spec.steps) == 2 ** (s - 1)
+            _check(len(built.spec.steps) == 2 ** (s - 1), f"step count, s={s} t={t}")
     built = build_construction_matrix(3, 2)
-    assert built.spec == CirculantSpec(32, (1, 7, 9, 15))
-    assert set(built.row_sums) == {456, 520}
-    assert built.row_sums.count(456) == 1
-    assert set(built.col_sums) == {516}
+    _check(built.spec == CirculantSpec(32, (1, 7, 9, 15)), f"spec {built.spec}")
+    _check(set(built.row_sums) == {456, 520}, "row sums")
+    _check(built.row_sums.count(456) == 1, "row sum 456 count")
+    _check(set(built.col_sums) == {516}, "column sums")
 
 
 def claim_union_families():
     for r in (9, 13):
         result = union_2labeling_family1(r)
-        assert result.colors == frozenset(
-            {4 * r * r - 4 * r + 1, 4 * r * r - 2 * r}
+        _check(
+            result.colors == frozenset({4 * r * r - 4 * r + 1, 4 * r * r - 2 * r}),
+            f"family 1, r={r}",
         )
     for r in (9, 17):
         result = union_2labeling_family2(r)
-        assert result.colors == frozenset({2 * r * r - r, 2 * r * r + r})
+        _check(
+            result.colors == frozenset({2 * r * r - r, 2 * r * r + r}),
+            f"family 2, r={r}",
+        )
     for orders in ((16, 16), (16, 20), (20, 20, 24)):
         spec = UnionSpec(orders)
         result = union_3labeling(spec)
         m = spec.m
-        assert result.colors == frozenset({m, m + 1, spec.r * m + m // 2})
+        _check(
+            result.colors == frozenset({m, m + 1, spec.r * m + m // 2}),
+            f"3-sum union {orders}",
+        )
 
 
 def claim_transform_union():
@@ -126,19 +142,22 @@ def claim_transform_union():
     directives = [FuseCycles(2 * i, 2 * i + 1, 3) for i in range(4)]
     directives.append(MergeCycle(8, case_plan(1, 2)))
     result = transform_union(labeled.spec, labeled.labeling, directives)
-    assert result.colors == frozenset({578, 612})
+    _check(result.colors == frozenset({578, 612}), f"colors {sorted(result.colors)}")
 
 
 def claim_small_oracle():
     for m in range(3, 8):
-        assert exact_chi_la(build_cycle(m)).value == 3
+        _check(exact_chi_la(build_cycle(m)).value == 3, f"chi_la(C_{m})")
     g = counterexample_graph()
     verdict = check_two_color_necessary(g)
     # Passes the bipartition-size conditions, yet 2 colors are impossible.
-    assert verdict.bipartite and verdict.sizes_distinct and verdict.divisibility_ok
-    assert verdict.forced_at_least_three
-    assert feasible_with_colors(g, 2) is None
-    assert feasible_with_colors(g, 3) is not None
+    _check(
+        verdict.bipartite and verdict.sizes_distinct and verdict.divisibility_ok,
+        "bipartition-size conditions",
+    )
+    _check(verdict.forced_at_least_three, "not forced to 3 sums")
+    _check(feasible_with_colors(g, 2) is None, "2-sum labeling found")
+    _check(feasible_with_colors(g, 3) is not None, "no 3-sum labeling")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +167,24 @@ def test_reproduce_all(capsys, monkeypatch):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("ok") >= 9
+
+
+def test_reproduce_all_fails_a_broken_claim_under_optimize():
+    # -O strips assert statements; the claims must still check.
+    code = (
+        "import local_antimagic.reproduce as r\n"
+        "r.c_labeling_sums = lambda m: ()\n"
+        "r.CLAIMS[:] = r.CLAIMS[:1]\n"
+        "raise SystemExit(r.run_all())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.stdout.startswith("FAIL  cycle labeling colors"), proc.stdout
+    assert proc.returncode == 1
 
 
 def test_error_exit_code_on_bad_parameters(capsys, monkeypatch):
