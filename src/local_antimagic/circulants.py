@@ -19,29 +19,9 @@ from .graphs import (
     Graph,
     build_circulant,
     gamma_cycle,
-    gamma_cycle_sequence,
     verify_vertex_map,
 )
 from .labelings import EdgeLabeling, induced_coloring, validate_labeling
-
-
-@dataclass(frozen=True)
-class GammaCycle:
-    """The step-a Hamiltonian cycle of Z_m, for a coprime to m."""
-
-    m: int
-    a: int
-
-    def __post_init__(self):
-        if math.gcd(self.a % self.m, self.m) != 1:
-            raise ValueError(f"step {self.a} is not coprime to {self.m}")
-
-    @property
-    def sequence(self) -> tuple[int, ...]:
-        return gamma_cycle_sequence(self.m, self.a)
-
-    def graph(self) -> Graph:
-        return gamma_cycle(self.m, self.a)
 
 
 def c_labeling(m: int) -> EdgeLabeling:

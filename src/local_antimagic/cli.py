@@ -7,13 +7,16 @@ communicate through JSON documents on stdin/stdout, for example:
     antimagic label circulant --m 16 --steps 1,3 | antimagic verify --expect-colors 3
 
 Exit codes: 0 on success, 1 when a verification or search check fails,
-2 for usage errors.
+2 for usage errors, 141 (128 + SIGPIPE) when the reader closes stdout
+early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
 from typing import Optional
 
@@ -258,6 +261,21 @@ def _cmd_reproduce(args) -> int:
     return 1 if run_all() else 0
 
 
+_HELP = {
+    "steps": "comma-separated connection set, e.g. 1,3",
+    "orders": "comma-separated cycle orders, e.g. 16,16",
+    "directives": 'JSON list, e.g. [{"fuse":[0,1],"step":3},{"merge":8,"case":1,"k":2}]',
+}
+
+
+def _needs(variants, name: str, **flags: type) -> argparse.ArgumentParser:
+    """The parser of one shape, family or kind, requiring each of ``flags``."""
+    p = variants.add_parser(name)
+    for flag, kind in flags.items():
+        p.add_argument(f"--{flag}", type=kind, required=True, help=_HELP.get(flag))
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="antimagic",
@@ -266,35 +284,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a graph and print its JSON")
-    p.add_argument("shape", choices=["cycle", "circulant", "union"])
-    p.add_argument("--m", type=int)
-    p.add_argument("--steps", help="comma-separated connection set, e.g. 1,3")
-    p.add_argument("--orders", help="comma-separated cycle orders, e.g. 16,16")
+    shapes = p.add_subparsers(dest="shape", required=True)
+    _needs(shapes, "cycle", m=int)
+    _needs(shapes, "circulant", m=int, steps=str)
+    _needs(shapes, "union", orders=str)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("label", help="construct a graph with an explicit labeling")
-    p.add_argument(
-        "family", choices=["c", "circulant", "union2a", "union2b", "union3"]
-    )
-    p.add_argument("--m", type=int)
-    p.add_argument("--steps")
-    p.add_argument("--r", type=int)
-    p.add_argument("--orders")
+    families = p.add_subparsers(dest="family", required=True)
+    _needs(families, "c", m=int)
+    _needs(families, "circulant", m=int, steps=str)
+    _needs(families, "union2a", r=int)
+    _needs(families, "union2b", r=int)
+    _needs(families, "union3", orders=str)
     p.set_defaults(fn=_cmd_label)
 
     p = sub.add_parser("transform", help="merge, fuse, or fold a labeled graph")
-    p.add_argument("kind", choices=["case", "matrix", "union"])
-    p.add_argument("--case", type=int, help="merge case number, 1-8")
-    p.add_argument("--k", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--render", action="store_true", help="print the label matrix as text")
-    p.add_argument("--input", help="labeled union JSON (default stdin)")
-    p.add_argument("--orders")
-    p.add_argument(
-        "--directives",
-        help='JSON list, e.g. [{"fuse":[0,1],"step":3},{"merge":8,"case":1,"k":2}]',
+    kinds = p.add_subparsers(dest="kind", required=True)
+    q = _needs(kinds, "case", k=int)
+    q.add_argument(
+        "--case", type=int, required=True, choices=range(1, 9), help="merge case number"
     )
+    q = _needs(kinds, "matrix", s=int, t=int)
+    q.add_argument("--render", action="store_true", help="print the label matrix as text")
+    q = _needs(kinds, "union", directives=str)
+    q.add_argument("--input", help="labeled union JSON (default stdin)")
+    q.add_argument("--orders", help=_HELP["orders"])
     p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("verify", help="check a labeled graph document")
@@ -336,9 +351,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "iso" and args.multiplier and None in (args.n, args.a, args.b):
+        parser.error("iso --multiplier needs --n, --a and --b")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): send what is left,
+        # including the flush at exit, to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

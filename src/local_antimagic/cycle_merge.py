@@ -194,11 +194,26 @@ def build_even_odd_arrays(s: int, t: int) -> EvenOddArrays:
         off = 2 ** (2 * i - 2) * (2 * t + 4)
         a = np.block([[a, a + 2 * off], [a + off, a + 3 * off]])
         b = np.block([[b, b + 2 * off], [b + off, b + 3 * off]])
-    assert sorted(a.ravel().tolist()) == list(range(0, n, 2))
-    assert sorted(b.ravel().tolist()) == list(range(1, n, 2))
-    return EvenOddArrays(
+    arrays = EvenOddArrays(
         s, t, tuple(map(tuple, a.tolist())), tuple(map(tuple, b.tolist()))
     )
+    _cell_index(arrays, n)
+    return arrays
+
+
+def _cell_index(arrays: EvenOddArrays, n: int) -> list[int]:
+    """index[p] is the row of even p in the even array and the column of
+    odd p in the odd array.  Raises unless the arrays hold the evens and
+    the odds of [0, n-1] exactly once each."""
+    evens = [(p, x) for x, row in enumerate(arrays.evens) for p in row]
+    odds = [(p, y) for row in arrays.odds for y, p in enumerate(row)]
+    found = sorted(p for p, _ in evens) + sorted(p for p, _ in odds)
+    if found != list(range(0, n, 2)) + list(range(1, n, 2)):
+        raise AssertionError(f"even and odd arrays do not partition [0, {n - 1}]")
+    index = [0] * n
+    for p, cell in evens + odds:
+        index[p] = cell
+    return index
 
 
 def construction_steps(s: int, t: int) -> tuple[int, ...]:
@@ -287,28 +302,21 @@ def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
     arrays = build_even_odd_arrays(s, t)
     n = 2 ** (2 * s - 1) * (t + 2)
     size = 2 ** (s - 1) * (t + 2)
-    row_sets = [set(row) for row in arrays.evens]
-    col_sets = [
-        {arrays.odds[rr][y] for rr in range(len(arrays.odds))} for y in range(size)
-    ]
+    index = _cell_index(arrays, n)
     pattern = [[0] * size for _ in range(size)]
     labels: list[list[Optional[int]]] = [[None] * size for _ in range(size)]
-    for x in range(size):
-        for y in range(size):
-            pairs = [
-                (p, q)
-                for p in row_sets[x]
-                for q in (p - 1, p + 1)
-                if q in col_sets[y]
-            ]
-            if len(pairs) > 1:
+    for p in range(0, n, 2):
+        x = index[p]
+        for q, label in ((p - 1, n - p // 2 + 1), (p + 1, p // 2 + 1)):
+            if q < 0:
+                continue
+            y = index[q]
+            if labels[x][y] is not None:
                 raise AssertionError(
-                    f"cell ({x},{y}) holds two consecutive pairs: {pairs}"
+                    f"cell ({x},{y}) holds two consecutive pairs, one of them {(p, q)}"
                 )
-            if pairs:
-                p, q = pairs[0]
-                pattern[x][y] = 1
-                labels[x][y] = p // 2 + 1 if q == p + 1 else n - p // 2 + 1
+            pattern[x][y] = 1
+            labels[x][y] = label
     if labels[0][size - 1] is not None:
         raise AssertionError("corner cell unexpectedly occupied")
     pattern[0][size - 1] = 1
@@ -322,23 +330,11 @@ def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
             raise AssertionError("incidence pattern rows are not cyclic shifts")
 
     # Vertices u_0..u_{2*size-1}: row x is u_{2x}, column y is u_{2y+1}.
-    edges: list[tuple[int, int]] = []
-    edge_labels: list[int] = []
-    for x in range(size):
-        for y in range(size):
-            if pattern[x][y]:
-                edges.append((2 * x, 2 * y + 1))
-                edge_labels.append(labels[x][y])
-    prov = []
-    for v in range(2 * size):
-        if v % 2 == 0:
-            prov.append(tuple(str(p) for p in arrays.evens[v // 2]))
-        else:
-            prov.append(
-                tuple(str(arrays.odds[rr][v // 2]) for rr in range(len(arrays.odds)))
-            )
-    graph = Graph(2 * size, tuple(edges), tuple(prov))
-    labeling = EdgeLabeling(tuple(edge_labels))
+    cells = [(x, y) for x in range(size) for y in range(size) if pattern[x][y]]
+    columns = list(zip(*arrays.odds))
+    prov = [columns[v // 2] if v % 2 else arrays.evens[v // 2] for v in range(2 * size)]
+    graph = Graph(2 * size, tuple((2 * x, 2 * y + 1) for x, y in cells), tuple(prov))
+    labeling = EdgeLabeling(tuple(labels[x][y] for x, y in cells))
 
     spec = CirculantSpec(2 * size, construction_steps(s, t))
     if graph.edge_multiset() != build_circulant(spec).edge_multiset():

@@ -209,7 +209,7 @@ def gamma_cycle_sequence(m: int, a: int) -> tuple[int, ...]:
 def gamma_cycle(m: int, a: int) -> Graph:
     """The m-cycle visiting 0, a, 2a, ... ; edge j joins ja and (j+1)a."""
     seq = gamma_cycle_sequence(m, a)
-    return Graph(m, tuple((seq[j], seq[(j + 1) % m]) for j in range(m)))
+    return Graph(m, tuple(zip(seq, seq[1:] + seq[:1])))
 
 
 def build_circulant(spec: CirculantSpec) -> Graph:
@@ -221,7 +221,8 @@ def build_circulant(spec: CirculantSpec) -> Graph:
     """
     edges: list[tuple[int, int]] = []
     for a in spec.steps:
-        edges.extend(gamma_cycle(spec.m, a).edges)
+        seq = gamma_cycle_sequence(spec.m, a)
+        edges.extend(zip(seq, seq[1:] + seq[:1]))
     return Graph(spec.m, tuple(edges))
 
 
@@ -306,12 +307,39 @@ def delete_edge(g: Graph, e: int) -> Graph:
     return Graph(g.n, g.edges[:e] + g.edges[e + 1 :], g.provenance)
 
 
+def first_coloring(g: Graph, k: int) -> Optional[list[int]]:
+    """The lexicographically first proper k-coloring over the vertices
+    taken highest degree first, as a color per vertex, or None if there
+    is none.  Backtracks on an explicit stack so that long cycles stay
+    within the recursion limit."""
+    order = sorted(range(g.n), key=lambda v: -g.degrees[v])
+    # Depth i colors order[i]: tried[i] is its current color, used[i]
+    # the colors in use before it.  Trying at most one fresh color kills
+    # color-permutation symmetry and keeps the lexicographically first
+    # coloring: swapping two colors unused so far only moves it later.
+    color, tried, used = [-1] * g.n, [-1] * g.n, [0] * (g.n + 1)
+    i = 0
+    while 0 <= i < g.n:
+        v = order[i]
+        color[v] = -1
+        taken = {color[w] for w in g.adjacency[v]}
+        fresh = min(used[i] + 1, k)
+        c = next((x for x in range(tried[i] + 1, fresh) if x not in taken), -1)
+        tried[i] = c
+        if c < 0:
+            i -= 1
+        else:
+            color[v] = c
+            used[i + 1] = max(used[i], c + 1)
+            i += 1
+    return color if i == g.n else None
+
+
 def partite_classes(g: Graph, k: int) -> Optional[list[list[int]]]:
     """A proper k-partition into independent sets, or None if none exists.
 
     Parallel edges count as a single adjacency.  k=2 runs a two-coloring
-    traversal; k=3 runs exact backtracking (fine for a few hundred
-    vertices on the sparse graphs built here).
+    traversal; k=3 takes the first 3-coloring of ``first_coloring``.
     """
     if k == 2:
         color = [-1] * g.n
@@ -328,28 +356,13 @@ def partite_classes(g: Graph, k: int) -> Optional[list[list[int]]]:
                         queue.append(w)
                     elif color[w] == color[v]:
                         return None
-        return [[v for v in range(g.n) if color[v] == c] for c in range(2)]
-    if k == 3:
-        color = [-1] * g.n
-        order = sorted(range(g.n), key=lambda v: -g.degrees[v])
-
-        def backtrack(i: int) -> bool:
-            if i == g.n:
-                return True
-            v = order[i]
-            used = {color[w] for w in g.adjacency[v] if color[w] != -1}
-            for c in range(3):
-                if c not in used:
-                    color[v] = c
-                    if backtrack(i + 1):
-                        return True
-            color[v] = -1
-            return False
-
-        if not backtrack(0):
+    elif k == 3:
+        color = first_coloring(g, 3)
+        if color is None:
             return None
-        return [[v for v in range(g.n) if color[v] == c] for c in range(3)]
-    raise ValueError("only k=2 and k=3 are supported")
+    else:
+        raise ValueError("only k=2 and k=3 are supported")
+    return [[v for v in range(g.n) if color[v] == c] for c in range(k)]
 
 
 def _neighbor_degree_signature(g: Graph) -> list[tuple]:
@@ -432,7 +445,8 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[list[int]]:
 
     if not backtrack(0):
         return None
-    assert verify_vertex_map(g1, g2, mapping)
+    if not verify_vertex_map(g1, g2, mapping):
+        raise AssertionError("isomorphism search returned an invalid mapping")
     return mapping
 
 

@@ -57,9 +57,9 @@ def induced_coloring(g: Graph, f: EdgeLabeling) -> InducedColoring:
     """Induced vertex sums plus every adjacent pair with equal sums."""
     validate_labeling(g, f)
     sums = [0] * g.n
-    for i, (u, v) in enumerate(g.edges):
-        sums[u] += f[i]
-        sums[v] += f[i]
+    for (u, v), x in zip(g.edges, f.labels):
+        sums[u] += x
+        sums[v] += x
     conflicts = sorted(
         {
             (min(u, v), max(u, v))

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graphs import Graph
+from .graphs import Graph, first_coloring
 from .labelings import EdgeLabeling, check_two_color_necessary
 
 
@@ -57,33 +57,13 @@ class OracleResult:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number by backtracking, highest degree first, on an
-    explicit stack so that long cycles stay within the recursion limit."""
+    """Exact chromatic number: the least k with a proper k-coloring."""
     if g.n == 0:
         return 0
     if g.q == 0:
         return 1
-    order = sorted(range(g.n), key=lambda v: -g.degrees[v])
     for k in range(2, g.n):
-        # Depth i colors order[i]: tried[i] is its current color, used[i]
-        # the colors in use before it.  Trying at most one fresh color
-        # kills color-permutation symmetry.
-        color, tried, used = [-1] * g.n, [-1] * g.n, [0] * (g.n + 1)
-        i = 0
-        while 0 <= i < g.n:
-            v = order[i]
-            color[v] = -1
-            taken = {color[w] for w in g.adjacency[v]}
-            fresh = min(used[i] + 1, k)
-            c = next((x for x in range(tried[i] + 1, fresh) if x not in taken), -1)
-            tried[i] = c
-            if c < 0:
-                i -= 1
-            else:
-                color[v] = c
-                used[i + 1] = max(used[i], c + 1)
-                i += 1
-        if i == g.n:
+        if first_coloring(g, k) is not None:
             return k
     return g.n
 

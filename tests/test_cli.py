@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -190,3 +191,65 @@ def test_reproduce_all_fails_a_broken_claim_under_optimize():
 def test_error_exit_code_on_bad_parameters(capsys, monkeypatch):
     code, _ = run_cli(capsys, monkeypatch, ["label", "circulant", "--m", "9", "--steps", "1,2"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["label", "circulant"],
+        ["label", "circulant", "--m", "16"],
+        ["build", "cycle"],
+        ["transform", "case", "--case", "9", "--k", "2"],
+        ["transform", "matrix", "--s", "2"],
+        ["iso", "--multiplier", "--n", "16"],
+    ],
+)
+def test_missing_or_invalid_flags_are_usage_errors(capsys, args):
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "args", [("reproduce-all",), ("label", "circulant", "--m", "20000", "--steps", "1,3")]
+)
+def test_reader_closing_stdout_early_exits_quietly(args, unbuffered):
+    # The read end closes before the child can write, as with `| head`
+    # once it has its lines; both stdout buffering modes must stay quiet.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "local_antimagic", *args],
+        env=env, stdout=write_end, stderr=subprocess.PIPE,
+    )
+    os.close(write_end)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=60)
+    assert err.decode() == ""
+    assert proc.returncode == 141
+
+
+# sha256 of the CLI documents, recorded before the construction matrix
+# fill and the circulant assembly were rewritten: outputs stay byte-identical.
+PINNED_DIGESTS = {
+    ("transform", "matrix", "--s", "2", "--t", "0"):
+        "0b7765cadba9124378686305f39646b8d950352bddbd0cc2e99d222cd2637271",
+    ("transform", "matrix", "--s", "3", "--t", "2"):
+        "126565f333f74cd353abdd91f98cab852b3ab45c2da272cc02d6a19d5fbad21d",
+    ("transform", "matrix", "--s", "4", "--t", "1"):
+        "f41929eb59cb9611af9e674c2ddae5325fd01316b3e95b10b9f5f868d20940d1",
+    ("transform", "matrix", "--s", "5", "--t", "3"):
+        "6265fcdd55996428edc60c61904474614b4250bb8ae12973d6720651eed22009",
+    ("label", "circulant", "--m", "64", "--steps", "1,3,5"):
+        "716d37bfa3d8f303a606a126eb2cc539b328849c0cf0fe35de8fad18ad41b84e",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_DIGESTS))
+def test_constructor_documents_are_pinned(capsys, monkeypatch, args):
+    code, out = run_cli(capsys, monkeypatch, list(args))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[args]

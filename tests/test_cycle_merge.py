@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import local_antimagic.cycle_merge as cycle_merge
 from local_antimagic import (
     CirculantSpec,
     Graph,
@@ -189,6 +195,46 @@ def test_construction_matrix_s3_t2_reproduces_recorded_instance():
     assert set(built.col_sums) == {516}
     coloring = induced_coloring(built.graph, built.labeling)
     assert not coloring.conflicts and len(coloring.colors) == 3
+
+
+# Arrays with odd 1 replaced by a second copy of odd 9: not a partition.
+BROKEN_ARRAYS = """
+import dataclasses
+import local_antimagic.cycle_merge as cycle_merge
+
+real_arrays = cycle_merge.build_even_odd_arrays
+
+def broken_arrays(s, t):
+    arrays = real_arrays(s, t)
+    odds = [list(row) for row in arrays.odds]
+    odds[0][0] = odds[1][0]
+    return dataclasses.replace(arrays, odds=tuple(map(tuple, odds)))
+"""
+
+
+def test_construction_matrix_rejects_arrays_that_are_not_a_partition(monkeypatch):
+    scope: dict = {}
+    exec(BROKEN_ARRAYS, scope)
+    monkeypatch.setattr(cycle_merge, "build_even_odd_arrays", scope["broken_arrays"])
+    with pytest.raises(AssertionError, match="do not partition"):
+        build_construction_matrix(3, 2)
+
+
+def test_construction_matrix_rejects_broken_arrays_under_optimize():
+    # -O strips assert statements; the partition check must still run.
+    code = BROKEN_ARRAYS + (
+        "cycle_merge.build_even_odd_arrays = broken_arrays\n"
+        "try:\n"
+        "    cycle_merge.build_construction_matrix(3, 2)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert "do not partition" in proc.stdout, proc.stdout + proc.stderr
 
 
 def test_construction_render_layout():

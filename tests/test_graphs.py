@@ -168,6 +168,44 @@ def test_three_partite():
     assert partite_classes(k4, 3) is None
 
 
+def test_three_partite_long_cycles_stay_within_the_recursion_limit():
+    odd = partite_classes(build_cycle(2001), 3)
+    assert odd == [list(range(0, 2000, 2)), list(range(1, 2000, 2)), [2000]]
+    even = partite_classes(build_cycle(2000), 3)
+    assert even == [list(range(0, 2000, 2)), list(range(1, 2000, 2)), []]
+
+
+def _recursive_three_classes(g):
+    """Plain recursive 3-coloring backtracker, highest degree first, with
+    no symmetry breaking: the reference for the first coloring found."""
+    color = [-1] * g.n
+    order = sorted(range(g.n), key=lambda v: -g.degrees[v])
+
+    def backtrack(i):
+        if i == g.n:
+            return True
+        v = order[i]
+        used = {color[w] for w in g.adjacency[v] if color[w] != -1}
+        for c in range(3):
+            if c not in used:
+                color[v] = c
+                if backtrack(i + 1):
+                    return True
+        color[v] = -1
+        return False
+
+    if not backtrack(0):
+        return None
+    return [[v for v in range(g.n) if color[v] == c] for c in range(3)]
+
+
+def test_three_partite_is_the_first_coloring_of_plain_backtracking(rng):
+    for _ in range(80):
+        n = rng.randrange(3, 11)
+        g = random_connected_graph(rng, n, rng.randrange(0, 2 * n))
+        assert partite_classes(g, 3) == _recursive_three_classes(g)
+
+
 def test_isomorphism_random_relabelings(rng):
     for _ in range(40):
         g = random_connected_graph(rng, rng.randrange(4, 10), rng.randrange(0, 4))
