@@ -2,6 +2,7 @@
 one-point unions of cycles, with an exact small-instance search."""
 
 from .graphs import (
+    CertificationError,
     CirculantSpec,
     Graph,
     MergePlan,
@@ -46,7 +47,6 @@ from .cycle_merge import (
     ConstructionMatrix,
     build_construction_matrix,
     build_even_odd_arrays,
-    case_order,
     case_plan,
     family_colors,
     merge_plan_from_arrays,

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import (
+    CertificationError,
     CirculantSpec,
     Graph,
     build_circulant,
     gamma_cycle,
     verify_vertex_map,
 )
-from .labelings import EdgeLabeling, induced_coloring, validate_labeling
+from .labelings import EdgeLabeling, certify, validate_labeling
 
 
 def c_labeling(m: int) -> EdgeLabeling:
@@ -83,12 +84,8 @@ def circulant_labeling(spec: CirculantSpec) -> tuple[Graph, EdgeLabeling]:
     for i in range(len(spec.steps)):
         labels.extend(x + i * m for x in base.labels)
     labeling = EdgeLabeling(tuple(labels))
-    n, t = m // 2, len(spec.steps) - 1
-    coloring = induced_coloring(graph, labeling)
-    if coloring.conflicts or coloring.colors != circulant_colors(n, t):
-        raise AssertionError(
-            f"combined labeling failed verification for {spec}"
-        )
+    expected = circulant_colors(m // 2, len(spec.steps) - 1)
+    certify(f"combined labeling of {spec}", graph, labeling, expected)
     return graph, labeling
 
 
@@ -128,7 +125,7 @@ def multiplier_isomorphism(n: int, a: int, b: int) -> list[int]:
     dst = CirculantSpec(n, tuple(sorted({1, _canonical_step(b, n)})))
     mapping = certify_multiplier(src, dst, b)
     if mapping is None:
-        raise AssertionError(f"multiplier map i->{b}i failed certification")
+        raise CertificationError(f"multiplier map i->{b}i failed certification")
     return mapping
 
 
@@ -171,19 +168,19 @@ class LabelingMatrixView:
         """Aligned text table with '*' for absent entries and a trailing
         Sum column, in the layout used throughout this library's docs."""
         n = self.size
-        header = [""] + [str(v) for v in range(n)] + ["Sum"]
-        rows = [header]
-        for u in range(n):
-            cells = [str(u)]
-            cells += [
-                "*" if x is None else str(x) for x in self.entries[u]
-            ]
-            cells.append(str(self.row_sums[u]))
-            rows.append(cells)
-        widths = [max(len(r[c]) for r in rows) for c in range(n + 2)]
-        return "\n".join(
-            "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
-        )
+        rows = [["", *range(n), "Sum"]]
+        rows += [[u, *self.entries[u], self.row_sums[u]] for u in range(n)]
+        return render_table(rows)
+
+
+def render_table(rows: list[list]) -> str:
+    """The cells right-aligned per column, two spaces apart, with '*'
+    for None: the layout of every label matrix this library prints."""
+    text = [["*" if x is None else str(x) for x in row] for row in rows]
+    widths = [max(len(r[c]) for r in text) for c in range(len(text[0]))]
+    return "\n".join(
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in text
+    )
 
 
 def labeling_matrix_view(g: Graph, f: EdgeLabeling) -> LabelingMatrixView:

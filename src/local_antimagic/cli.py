@@ -7,8 +7,9 @@ communicate through JSON documents on stdin/stdout, for example:
     antimagic label circulant --m 16 --steps 1,3 | antimagic verify --expect-colors 3
 
 Exit codes: 0 on success, 1 when a verification or search check fails,
-2 for usage errors, 141 (128 + SIGPIPE) when the reader closes stdout
-early.
+2 for usage errors and malformed input, 3 when a construction fails its
+own certification (an internal bug), 141 (128 + SIGPIPE) when the reader
+closes stdout early.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 from typing import Optional
 
 from .graphs import (
+    CertificationError,
     CirculantSpec,
     Graph,
     are_isomorphic,
@@ -36,7 +38,7 @@ from .circulants import (
     multiplier_isomorphism,
     spectra_equal,
 )
-from .cycle_merge import build_construction_matrix, case_order, case_plan, transform_cycle
+from .cycle_merge import build_construction_matrix, case_plan, transform_cycle
 from .unions import (
     FuseCycles,
     KeepCycle,
@@ -114,7 +116,8 @@ def _parse_directives(text: str):
 
 def _cmd_transform(args) -> int:
     if args.kind == "case":
-        result = transform_cycle(case_order(args.case, args.k), case_plan(args.case, args.k))
+        plan = case_plan(args.case, args.k)
+        result = transform_cycle(plan.n, plan)
         _emit(
             document(
                 result.graph,
@@ -146,14 +149,18 @@ def _cmd_transform(args) -> int:
     if args.orders:
         orders = _ints(args.orders)
     if orders is None:
-        print("transform union needs --orders or an 'orders' field", file=sys.stderr)
-        return 2
+        raise ValueError("transform union needs --orders or an 'orders' field")
     if f is None:
-        print("transform union needs a labeled document", file=sys.stderr)
-        return 2
-    result = transform_union(
-        UnionSpec(tuple(orders)), f, _parse_directives(args.directives)
-    )
+        raise ValueError("transform union needs a labeled document")
+    try:
+        result = transform_union(
+            UnionSpec(tuple(orders)), f, _parse_directives(args.directives)
+        )
+    except CertificationError as exc:
+        # The labeling and the directives are input here: a result that
+        # is not local antimagic is a failed check, not a library bug.
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
     _emit(
         document(
             result.graph,
@@ -168,8 +175,7 @@ def _cmd_transform(args) -> int:
 def _cmd_verify(args) -> int:
     g, f, _ = _read_document(args.input)
     if f is None:
-        print("document has no labels to verify", file=sys.stderr)
-        return 2
+        raise ValueError("document has no labels to verify")
     coloring = induced_coloring(g, f)
     report = {
         "sums": list(coloring.sums),
@@ -251,8 +257,7 @@ def _cmd_export(args) -> int:
         print(to_dot(g, f))
     else:
         if f is None:
-            print("matrix export needs labels", file=sys.stderr)
-            return 2
+            raise ValueError("matrix export needs labels")
         print(labeling_matrix_view(g, f).render())
     return 0
 
@@ -355,6 +360,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "iso" and args.multiplier and None in (args.n, args.a, args.b):
         parser.error("iso --multiplier needs --n, --a and --b")
+    if args.command == "iso" and not args.multiplier and {args.first, args.second} <= {None, "-"}:
+        parser.error("iso reads at most one of its two documents from stdin")
     try:
         code = args.fn(args)
         sys.stdout.flush()
@@ -364,9 +371,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         # including the flush at exit, to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 128 + signal.SIGPIPE
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
+    except CertificationError as exc:
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import (
+    CertificationError,
     CirculantSpec,
     Graph,
     MergePlan,
@@ -23,8 +24,8 @@ from .graphs import (
     merge_vertices,
     verify_vertex_map,
 )
-from .circulants import c_labeling
-from .labelings import EdgeLabeling, induced_coloring
+from .circulants import c_labeling, render_table
+from .labelings import EdgeLabeling, certify
 
 
 def case_plan(case: int, k: int) -> MergePlan:
@@ -96,11 +97,6 @@ def case_plan(case: int, k: int) -> MergePlan:
     return MergePlan(n, blocks, kinds)
 
 
-def case_order(case: int, k: int) -> int:
-    return {1: 8 * k, 2: 8 * k + 4, 3: 8 * k + 2, 4: 8 * k + 6,
-            5: 8 * k + 1, 6: 8 * k + 5, 7: 8 * k + 3, 8: 8 * k + 7}[case]
-
-
 def family_colors(n: int) -> tuple[str, frozenset[int]]:
     """Expected induced sums of the merged graph, by residue of n mod 4."""
     m, r = divmod(n, 4)
@@ -133,16 +129,7 @@ def transform_cycle(n: int, plan: MergePlan) -> CycleTransformResult:
     labeling = c_labeling(n)
     merged = merge_vertices(build_cycle(n), plan)
     family, expected = family_colors(n)
-    coloring = induced_coloring(merged, labeling)
-    if coloring.conflicts:
-        raise AssertionError(
-            f"merged labeling has adjacent equal sums: {coloring.conflicts[0]}"
-        )
-    if coloring.colors != expected:
-        raise AssertionError(
-            f"induced sums {sorted(coloring.colors)} do not match the "
-            f"{family} profile {sorted(expected)}"
-        )
+    certify(f"merge of C_{n} ({family} profile)", merged, labeling, expected)
     return CycleTransformResult(merged, labeling, family, expected)
 
 
@@ -167,7 +154,7 @@ def verify_case1_circulant(k: int) -> list[int]:
         else:
             mapping[v] = smallest - 2 * k
     if not verify_vertex_map(merged, target, mapping):
-        raise AssertionError(f"Case 1 relabeling failed certification at k={k}")
+        raise CertificationError(f"Case 1 relabeling failed certification at k={k}")
     return mapping
 
 
@@ -209,7 +196,7 @@ def _cell_index(arrays: EvenOddArrays, n: int) -> list[int]:
     odds = [(p, y) for row in arrays.odds for y, p in enumerate(row)]
     found = sorted(p for p, _ in evens) + sorted(p for p, _ in odds)
     if found != list(range(0, n, 2)) + list(range(1, n, 2)):
-        raise AssertionError(f"even and odd arrays do not partition [0, {n - 1}]")
+        raise CertificationError(f"even and odd arrays do not partition [0, {n - 1}]")
     index = [0] * n
     for p, cell in evens + odds:
         index[p] = cell
@@ -269,25 +256,18 @@ class ConstructionMatrix:
         """Text table in the layout of the label matrices elsewhere in
         this library: odd groups as stacked column headers, even groups
         as row headers, '*' for empty cells, trailing Sum row/column."""
-        size = self.order
         width = len(self.arrays.evens[0])
-        head_rows = []
-        for rr in range(len(self.arrays.odds)):
-            head = [""] * width + [str(self.arrays.odds[rr][y]) for y in range(size)]
-            head.append("Sum" if rr == len(self.arrays.odds) - 1 else "")
-            head_rows.append(head)
-        body = []
-        for x in range(size):
-            row = [str(v) for v in self.arrays.evens[x]]
-            row += ["*" if c is None else str(c) for c in self.labels[x]]
-            row.append(str(self.row_sums[x]))
-            body.append(row)
-        foot = [""] * (width - 1) + ["Sum"] + [str(cs) for cs in self.col_sums] + [""]
-        rows = head_rows + body + [foot]
-        widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-        return "\n".join(
-            "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
-        )
+        last = len(self.arrays.odds) - 1
+        rows = [
+            [""] * width + list(odds) + ["Sum" if rr == last else ""]
+            for rr, odds in enumerate(self.arrays.odds)
+        ]
+        rows += [
+            [*evens, *labels, total]
+            for evens, labels, total in zip(self.arrays.evens, self.labels, self.row_sums)
+        ]
+        rows.append([""] * (width - 1) + ["Sum", *self.col_sums, ""])
+        return render_table(rows)
 
 
 def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
@@ -312,22 +292,22 @@ def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
                 continue
             y = index[q]
             if labels[x][y] is not None:
-                raise AssertionError(
+                raise CertificationError(
                     f"cell ({x},{y}) holds two consecutive pairs, one of them {(p, q)}"
                 )
             pattern[x][y] = 1
             labels[x][y] = label
     if labels[0][size - 1] is not None:
-        raise AssertionError("corner cell unexpectedly occupied")
+        raise CertificationError("corner cell unexpectedly occupied")
     pattern[0][size - 1] = 1
     labels[0][size - 1] = n // 2 + 1
     used = sorted(x for row in labels for x in row if x is not None)
     if used != list(range(1, n + 1)):
-        raise AssertionError("construction labels are not a bijection onto 1..n")
+        raise CertificationError("construction labels are not a bijection onto 1..n")
     for x in range(size):
         shifted = [pattern[x][(y - 1) % size] for y in range(size)]
         if pattern[(x + 1) % size] != shifted:
-            raise AssertionError("incidence pattern rows are not cyclic shifts")
+            raise CertificationError("incidence pattern rows are not cyclic shifts")
 
     # Vertices u_0..u_{2*size-1}: row x is u_{2x}, column y is u_{2y+1}.
     cells = [(x, y) for x in range(size) for y in range(size) if pattern[x][y]]
@@ -338,10 +318,10 @@ def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
 
     spec = CirculantSpec(2 * size, construction_steps(s, t))
     if graph.edge_multiset() != build_circulant(spec).edge_multiset():
-        raise AssertionError(f"pattern does not match the adjacency of {spec}")
-    coloring = induced_coloring(graph, labeling)
-    if coloring.conflicts or len(coloring.colors) != 3:
-        raise AssertionError("construction labeling is not 3-color local antimagic")
+        raise CertificationError(f"pattern does not match the adjacency of {spec}")
+    regular = 2 ** (s - 1) * (n + 2)
+    sums = {regular - n // 2, regular, 2 ** (s - 1) * (n + 1)}
+    certify(f"construction labeling of {spec}", graph, labeling, frozenset(sums))
     return ConstructionMatrix(
         s,
         t,

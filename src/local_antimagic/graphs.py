@@ -16,6 +16,11 @@ from functools import cached_property
 from typing import Optional
 
 
+class CertificationError(AssertionError):
+    """A construction or certificate failed its own check: a library bug,
+    never bad input.  An AssertionError, so existing handlers catch it."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable loop-free multigraph on vertices ``0..n-1``.
@@ -182,14 +187,6 @@ class MergePlan:
             seen.update(block)
         if seen != set(range(self.n)):
             raise ValueError("blocks must partition the vertex set")
-
-    @staticmethod
-    def identity(n: int) -> "MergePlan":
-        return MergePlan(
-            n,
-            tuple((v,) for v in range(n)),
-            tuple("A" if v % 2 == 0 else "B" for v in range(n)),
-        )
 
 
 def build_cycle(m: int) -> Graph:
@@ -421,32 +418,35 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[list[int]]:
                 return False
         return True
 
-    def candidates(v: int):
+    def candidates(v: int) -> list[int]:
         anchored = [mapping[u] for u in g1.adjacency[v] if mapping[u] != -1]
-        if anchored:
-            return [w for w in g2.adjacency[anchored[0]] if not used[w]]
-        return [w for w in range(g2.n) if not used[w]]
+        pool = g2.adjacency[anchored[0]] if anchored else range(g2.n)
+        return [w for w in pool if not used[w]][::-1]
 
-    def backtrack(i: int) -> bool:
-        if i == g1.n:
-            return True
-        v = order[i]
-        for w in candidates(v):
-            if compatible(v, w):
-                mapping[v] = w
-                inverse[w] = v
-                used[w] = True
-                if backtrack(i + 1):
-                    return True
-                mapping[v] = -1
-                inverse[w] = -1
-                used[w] = False
-        return False
-
-    if not backtrack(0):
+    # Backtrack on an explicit stack so that long cycles stay within the
+    # recursion limit: pending[i] holds the untried images of order[i],
+    # last first, so that pop() tries them in candidate order.
+    pending = [candidates(order[0])] if g1.n else []
+    while pending:
+        v = order[len(pending) - 1]
+        w = mapping[v]
+        if w != -1:
+            mapping[v], inverse[w], used[w] = -1, -1, False
+        untried = pending[-1]
+        while untried and not compatible(v, untried[-1]):
+            untried.pop()
+        if not untried:
+            pending.pop()
+            continue
+        w = untried.pop()
+        mapping[v], inverse[w], used[w] = w, v, True
+        if len(pending) == g1.n:
+            break
+        pending.append(candidates(order[len(pending)]))
+    if len(pending) < g1.n:
         return None
     if not verify_vertex_map(g1, g2, mapping):
-        raise AssertionError("isomorphism search returned an invalid mapping")
+        raise CertificationError("isomorphism search returned an invalid mapping")
     return mapping
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
-from .graphs import Graph, partite_classes
+from .graphs import CertificationError, Graph, partite_classes
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,25 @@ def induced_coloring(g: Graph, f: EdgeLabeling) -> InducedColoring:
         }
     )
     return InducedColoring(tuple(sums), frozenset(sums), tuple(conflicts))
+
+
+def certify(what: str, g: Graph, f: EdgeLabeling,
+            expected: Optional[frozenset[int]] = None) -> InducedColoring:
+    """The induced coloring of the construction ``what``, checked: raises
+    CertificationError when two adjacent vertices share a sum or, given
+    ``expected``, when the distinct sums differ from it."""
+    coloring = induced_coloring(g, f)
+    if coloring.conflicts:
+        u, v = coloring.conflicts[0]
+        raise CertificationError(
+            f"{what}: adjacent vertices {u} and {v} share the sum {coloring.sums[u]}"
+        )
+    if expected is not None and coloring.colors != expected:
+        raise CertificationError(
+            f"{what}: induced sums {sorted(coloring.colors)}, "
+            f"expected {sorted(expected)}"
+        )
+    return coloring
 
 
 def is_local_antimagic(g: Graph, f: EdgeLabeling) -> bool:

@@ -31,7 +31,6 @@ from .circulants import (
 )
 from .cycle_merge import (
     build_construction_matrix,
-    case_order,
     case_plan,
     transform_cycle,
     verify_case1_circulant,
@@ -93,7 +92,8 @@ def claim_c16_pair():
 def claim_cycle_transforms():
     for case in range(1, 9):
         for k in range(2, 7):
-            transform_cycle(case_order(case, k), case_plan(case, k))
+            plan = case_plan(case, k)
+            transform_cycle(plan.n, plan)
 
 
 def claim_case1_circulants():

@@ -24,36 +24,34 @@ def graph_to_dict(g: Graph) -> dict[str, Any]:
 
 
 def graph_from_dict(data: dict[str, Any]) -> Graph:
-    prov = data.get("provenance")
-    return Graph(
-        int(data["n"]),
-        tuple((int(u), int(v)) for u, v in data["edges"]),
-        tuple(tuple(p) for p in prov) if prov else (),
-    )
-
-
-def labeling_to_list(f: EdgeLabeling) -> list[int]:
-    return list(f.labels)
-
-
-def labeling_from_list(data: list[int]) -> EdgeLabeling:
-    return EdgeLabeling(tuple(int(x) for x in data))
+    """``Graph`` converts the edges and provenance entries itself."""
+    return Graph(int(data["n"]), data["edges"], data.get("provenance") or ())
 
 
 def document(g: Graph, f: Optional[EdgeLabeling] = None, **extra) -> dict[str, Any]:
     doc: dict[str, Any] = {"graph": graph_to_dict(g)}
     if f is not None:
-        doc["labels"] = labeling_to_list(f)
+        doc["labels"] = list(f.labels)
     doc.update(extra)
     return doc
 
 
 def parse_document(text: str) -> tuple[Graph, Optional[EdgeLabeling], dict[str, Any]]:
-    data = json.loads(text)
-    if "graph" not in data:
-        raise ValueError("document is missing the 'graph' field")
-    g = graph_from_dict(data["graph"])
-    f = labeling_from_list(data["labels"]) if "labels" in data else None
+    """The graph, labeling (None when absent) and remaining fields of a
+    document.  A malformed document raises ValueError naming the field."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"document is not valid JSON: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("graph"), dict):
+        raise ValueError("document is missing the 'graph' object")
+    field = "graph"
+    try:
+        g = graph_from_dict(data["graph"])
+        field = "labels"
+        f = EdgeLabeling(data["labels"]) if "labels" in data else None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed '{field}' field: {exc!r}") from None
     extra = {k: v for k, v in data.items() if k not in ("graph", "labels")}
     return g, f, extra
 

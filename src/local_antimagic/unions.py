@@ -14,6 +14,7 @@ from itertools import accumulate
 from typing import Union
 
 from .graphs import (
+    CertificationError,
     CirculantSpec,
     Graph,
     MergePlan,
@@ -22,7 +23,7 @@ from .graphs import (
     merge_vertices,
     one_point_union,
 )
-from .labelings import EdgeLabeling, induced_coloring
+from .labelings import EdgeLabeling, certify
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,10 @@ def _finish(spec: UnionSpec, labels: list[int],
             expected: frozenset[int], central: int) -> UnionLabelingResult:
     graph = union_graph(spec)
     labeling = EdgeLabeling(tuple(labels))
-    coloring = induced_coloring(graph, labeling)
-    if coloring.conflicts or coloring.colors != expected:
-        raise AssertionError(
-            f"union labeling failed verification on {spec.orders}: "
-            f"got sums {sorted(coloring.colors)}, wanted {sorted(expected)}"
-        )
+    what = f"union labeling of {spec.orders}"
+    coloring = certify(what, graph, labeling, expected)
     if coloring.sums[0] != central:
-        raise AssertionError("central sum mismatch")
+        raise CertificationError(f"{what}: central sum {coloring.sums[0]}, expected {central}")
     return UnionLabelingResult(spec, graph, labeling, coloring.colors, central)
 
 
@@ -231,25 +228,25 @@ def transform_union(
     labels: list[int] = []
     for d in directives:
         if isinstance(d, KeepCycle):
+            labels.extend(take(d.cycle))
             graphs.append(build_cycle(spec.orders[d.cycle]))
             attach.append(0)
-            labels.extend(take(d.cycle))
         elif isinstance(d, FuseCycles):
+            labels.extend(take(d.first))
+            labels.extend(take(d.second))
             n = spec.orders[d.first]
             if spec.orders[d.second] != n:
                 raise ValueError("fused cycles must have equal order")
             graphs.append(build_circulant(CirculantSpec(n, (1, d.step))))
             attach.append(0)
-            labels.extend(take(d.first))
-            labels.extend(take(d.second))
         elif isinstance(d, MergeCycle):
+            labels.extend(take(d.cycle))
             merged = merge_vertices(build_cycle(spec.orders[d.cycle]), d.plan)
             graphs.append(merged)
             at = next(
                 v for v in range(merged.n) if "0" in merged.provenance[v]
             )
             attach.append(at)
-            labels.extend(take(d.cycle))
         else:
             raise TypeError(f"unknown directive {d!r}")
     if consumed != set(range(spec.r)):
@@ -258,11 +255,7 @@ def transform_union(
 
     graph = one_point_union(graphs, attach)
     new_labeling = EdgeLabeling(tuple(labels))
-    coloring = induced_coloring(graph, new_labeling)
-    if coloring.conflicts:
-        raise AssertionError(
-            f"transformed union has adjacent equal sums: {coloring.conflicts[0]}"
-        )
+    coloring = certify(f"transformed union of {spec.orders}", graph, new_labeling)
     return UnionTransformResult(
         graph, new_labeling, coloring.colors, coloring.sums[0]
     )

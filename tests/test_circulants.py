@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -140,3 +141,18 @@ def test_matrix_view_render_shape():
     assert len(lines) == 5
     assert lines[0].split() == ["0", "1", "2", "3", "Sum"]
     assert lines[1].split() == ["0", "*", "1", "*", "3", "4"]
+
+
+# sha256 of the rendered label matrices of C_16(1,3) and C_16(1,3,5,7),
+# recorded before the two table renderers were merged.
+@pytest.mark.parametrize(
+    "steps,digest",
+    [
+        ((1, 3), "3e6a7d511b3bce323debee4f8fbcb6236a9ba2f5a18465b8351c84f02acca738"),
+        ((1, 3, 5, 7), "41c46771cd93e572705bb7eed512d00b6bad2d1d12661efbafe47cb78747869a"),
+    ],
+)
+def test_matrix_view_render_is_pinned(steps, digest):
+    g, f = circulant_labeling(CirculantSpec(16, steps))
+    text = labeling_matrix_view(g, f).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -15,7 +15,6 @@ from local_antimagic import (
     build_cycle,
     build_even_odd_arrays,
     c_labeling,
-    case_order,
     case_plan,
     check_edge_deletion_lemma,
     check_nonreg_conditions,
@@ -38,8 +37,9 @@ ALL_CASES = [(case, k) for case in range(1, 9) for k in range(2, 7)]
 @pytest.mark.parametrize("case,k", ALL_CASES)
 def test_case_plans_partition_with_stated_shapes(case, k):
     plan = case_plan(case, k)
-    n = case_order(case, k)
-    assert plan.n == n
+    stated = {1: 8 * k, 2: 8 * k + 4, 3: 8 * k + 2, 4: 8 * k + 6,
+              5: 8 * k + 1, 6: 8 * k + 5, 7: 8 * k + 3, 8: 8 * k + 7}
+    assert plan.n == stated[case]
     a_blocks = [b for b, kind in zip(plan.blocks, plan.kinds) if kind == "A"]
     b_blocks = [b for b, kind in zip(plan.blocks, plan.kinds) if kind == "B"]
     c_blocks = [b for b, kind in zip(plan.blocks, plan.kinds) if kind == "C"]
@@ -60,8 +60,9 @@ def test_case_plans_partition_with_stated_shapes(case, k):
 
 @pytest.mark.parametrize("case,k", ALL_CASES)
 def test_transform_profiles(case, k):
-    n = case_order(case, k)
-    result = transform_cycle(n, case_plan(case, k))
+    plan = case_plan(case, k)
+    n = plan.n
+    result = transform_cycle(n, plan)
     g, f = result.graph, result.labeling
     assert sorted(f.labels) == list(range(1, n + 1))
     coloring = induced_coloring(g, f)
@@ -96,8 +97,8 @@ def test_transform_profiles(case, k):
 
 @pytest.mark.parametrize("case,k", ALL_CASES)
 def test_merged_sums_add_originals(case, k):
-    n = case_order(case, k)
     plan = case_plan(case, k)
+    n = plan.n
     base = induced_coloring(build_cycle(n), c_labeling(n)).sums
     merged = merge_vertices(build_cycle(n), plan)
     sums = induced_coloring(merged, c_labeling(n)).sums
@@ -108,8 +109,9 @@ def test_merged_sums_add_originals(case, k):
 
 @pytest.mark.parametrize("case,k", ALL_CASES)
 def test_edge_deleted_variants(case, k):
-    n = case_order(case, k)
-    result = transform_cycle(n, case_plan(case, k))
+    plan = case_plan(case, k)
+    n = plan.n
+    result = transform_cycle(n, plan)
     g, f = result.graph, result.labeling
 
     e1 = f.labels.index(1)
@@ -143,7 +145,8 @@ def test_case1_k2_is_k44():
 def test_case2_deleted_variant_isomorphism_is_undecided_but_checked():
     # Whether the two edge-deleted variants coincide is left open; we run
     # the check and only require internal consistency of its answer.
-    result = transform_cycle(case_order(2, 2), case_plan(2, 2))
+    plan = case_plan(2, 2)
+    result = transform_cycle(plan.n, plan)
     g, f = result.graph, result.labeling
     g1 = delete_edge(g, f.labels.index(1))
     gn = delete_edge(g, f.labels.index(g.q))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -234,3 +236,31 @@ def test_isomorphism_with_multiplicities():
     assert mapping is not None
     simple = Graph(3, ((0, 1), (1, 2), (2, 0)))
     assert are_isomorphic(g, simple) is None
+
+
+def test_isomorphism_of_long_circulants_stays_within_the_recursion_limit():
+    g = build_circulant(CirculantSpec(1000, (1, 3)))
+    assert are_isomorphic(g, g) == list(range(1000))
+    perm = list(range(1000))
+    random.Random(1000).shuffle(perm)
+    h = Graph(1000, tuple((perm[u], perm[v]) for u, v in g.edges))
+    mapping = are_isomorphic(g, h)
+    assert verify_vertex_map(g, h, mapping)
+    # The mapping the recursive search found with a raised recursion limit.
+    digest = hashlib.sha256(json.dumps(mapping).encode()).hexdigest()
+    assert digest == "4e4ec24ebdf7331dafe1b73cd9cc93c100fe225deec36c07eaf9eb65543b5c5f"
+
+
+def test_isomorphism_returns_the_mappings_of_the_recursive_search():
+    # sha256 of the 200 mappings the recursive search returned: the
+    # explicit stack tries the candidates in the same order.
+    rng = random.Random(7)
+    mappings = []
+    for _ in range(200):
+        g = random_connected_graph(rng, rng.randrange(4, 10), rng.randrange(0, 6))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+        mappings.append(are_isomorphic(g, h))
+    digest = hashlib.sha256(json.dumps(mappings).encode()).hexdigest()
+    assert digest == "53786609a81e242e360d063341eee8d30dc57dc45aff8ddb6728a0fcc9000414"

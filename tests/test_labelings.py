@@ -3,11 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from local_antimagic import (
+    CertificationError,
     EdgeLabeling,
     Graph,
     build_cycle,
     c_labeling,
-    case_order,
     case_plan,
     transform_cycle,
     check_edge_deletion_lemma,
@@ -23,6 +23,7 @@ from local_antimagic import (
     union_2labeling_family1,
     validate_labeling,
 )
+from local_antimagic.labelings import certify
 from local_antimagic.reproduce import counterexample_graph
 
 
@@ -94,7 +95,8 @@ def test_color_count_requires_local_antimagic():
 
 
 def test_nonreg_conditions_guarantee_complement():
-    result = transform_cycle(case_order(5, 2), case_plan(5, 2))
+    plan = case_plan(5, 2)
+    result = transform_cycle(plan.n, plan)
     g, f = result.graph, result.labeling
     assert check_nonreg_conditions(g, f)
     fc = complement_labeling(g, f)
@@ -143,3 +145,23 @@ def test_two_color_identity_rejects_three_colors():
     g, f = build_cycle(8), c_labeling(8)
     with pytest.raises(ValueError):
         two_color_identity_holds(g, f)
+
+
+def test_certify_returns_the_coloring_of_a_good_construction():
+    g, f = build_cycle(8), c_labeling(8)
+    assert certify("C_8", g, f, frozenset({6, 9, 10})) == induced_coloring(g, f)
+
+
+def test_certify_names_the_conflicting_pair_and_sum():
+    multi = Graph(2, ((0, 1), (0, 1)))
+    with pytest.raises(
+        CertificationError, match="^double edge: adjacent vertices 0 and 1 share the sum 3$"
+    ):
+        certify("double edge", multi, EdgeLabeling((1, 2)))
+
+
+def test_certify_names_both_sum_sets():
+    with pytest.raises(
+        CertificationError, match=r"^C_8: induced sums \[6, 9, 10\], expected \[1, 2\]$"
+    ):
+        certify("C_8", build_cycle(8), c_labeling(8), frozenset({1, 2}))
