@@ -52,7 +52,7 @@ from .unions import (
 )
 from .oracle import BudgetExceeded, SearchBudget, exact_chi_la, feasible_with_colors
 from .reproduce import run_all
-from .serialize import document, parse_document, to_dot
+from .serialize import document, parse_document, to_dot, write_json
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -60,12 +60,18 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
+    write_json(doc, sys.stdout)
     sys.stdout.write("\n")
 
 
 def _read_document(path: Optional[str]) -> tuple[Graph, Optional[EdgeLabeling], dict]:
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
+    if path in (None, "-"):
+        return parse_document(sys.stdin.read())
+    try:
+        with open(path) as fp:
+            text = fp.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc.strerror}") from None
     return parse_document(text)
 
 
@@ -99,19 +105,30 @@ def _cmd_label(args) -> int:
 
 
 def _parse_directives(text: str):
-    directives = []
-    for item in json.loads(text):
+    items = json.loads(text)
+    if not isinstance(items, list):
+        raise ValueError(f"directives must be a JSON list, not {items!r}")
+    return [_directive(item) for item in items]
+
+
+def _directive(item):
+    try:
         if "keep" in item:
-            directives.append(KeepCycle(item["keep"]))
-        elif "fuse" in item:
+            return KeepCycle(_int(item["keep"]))
+        if "fuse" in item:
             first, second = item["fuse"]
-            directives.append(FuseCycles(first, second, item["step"]))
-        elif "merge" in item:
-            plan = case_plan(item["case"], item["k"])
-            directives.append(MergeCycle(item["merge"], plan))
-        else:
-            raise ValueError(f"unknown directive {item!r}")
-    return directives
+            return FuseCycles(_int(first), _int(second), _int(item["step"]))
+        if "merge" in item:
+            return MergeCycle(_int(item["merge"]), case_plan(_int(item["case"]), _int(item["k"])))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed directive {item!r}: {exc!r}") from None
+    raise ValueError(f"unknown directive {item!r}")
+
+
+def _int(value):
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
 
 
 def _cmd_transform(args) -> int:
@@ -136,11 +153,11 @@ def _cmd_transform(args) -> int:
             document(
                 built.graph,
                 built.labeling,
-                A=[list(row) for row in built.arrays.evens],
-                B=[list(row) for row in built.arrays.odds],
-                M01=[list(row) for row in built.pattern],
-                Mlab=[list(row) for row in built.labels],
-                steps=list(built.spec.steps),
+                A=built.arrays.evens,
+                B=built.arrays.odds,
+                M01=built.pattern,
+                Mlab=built.labels,
+                steps=built.spec.steps,
             )
         )
         return 0
@@ -178,9 +195,9 @@ def _cmd_verify(args) -> int:
         raise ValueError("document has no labels to verify")
     coloring = induced_coloring(g, f)
     report = {
-        "sums": list(coloring.sums),
+        "sums": coloring.sums,
         "colors": sorted(coloring.colors),
-        "conflicts": [list(c) for c in coloring.conflicts],
+        "conflicts": coloring.conflicts,
         "local_antimagic": not coloring.conflicts,
     }
     ok = not coloring.conflicts
@@ -198,7 +215,7 @@ def _cmd_verify(args) -> int:
 def _cmd_spectrum(args) -> int:
     spec = CirculantSpec(args.m, _ints(args.steps))
     spectrum = circulant_spectrum(spec)
-    out = {"m": args.m, "steps": list(spec.steps), "spectrum": spectrum}
+    out = {"m": args.m, "steps": spec.steps, "spectrum": spectrum}
     if args.against:
         other = circulant_spectrum(CirculantSpec(args.m, _ints(args.against)))
         out["cospectral"] = spectra_equal(spectrum, other)
@@ -230,7 +247,7 @@ def _cmd_oracle(args) -> int:
                 {
                     "colors": args.colors,
                     "feasible": witness is not None,
-                    "witness": list(witness.labels) if witness else None,
+                    "witness": witness.labels if witness else None,
                 }
             )
             return 0
@@ -238,7 +255,7 @@ def _cmd_oracle(args) -> int:
         _emit(
             {
                 "chi_la": result.value,
-                "witness": list(result.witness.labels),
+                "witness": result.witness.labels,
                 "nodes": result.nodes,
                 "seconds": result.seconds,
             }

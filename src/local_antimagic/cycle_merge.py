@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .graphs import (
     CertificationError,
     CirculantSpec,
@@ -175,17 +173,21 @@ def build_even_odd_arrays(s: int, t: int) -> EvenOddArrays:
     if s < 2 or t < 0:
         raise ValueError("requires s >= 2 and t >= 0")
     n = 2 ** (2 * s - 1) * (t + 2)
-    a = np.arange(0, 2 * t + 3, 2, dtype=np.int64).reshape(-1, 1)
-    b = np.arange(1, 2 * t + 4, 2, dtype=np.int64).reshape(1, -1)
+    a = [[p] for p in range(0, 2 * t + 3, 2)]
+    b = [list(range(1, 2 * t + 4, 2))]
     for i in range(1, s):
         off = 2 ** (2 * i - 2) * (2 * t + 4)
-        a = np.block([[a, a + 2 * off], [a + off, a + 3 * off]])
-        b = np.block([[b, b + 2 * off], [b + off, b + 3 * off]])
-    arrays = EvenOddArrays(
-        s, t, tuple(map(tuple, a.tolist())), tuple(map(tuple, b.tolist()))
-    )
+        a, b = _quartered(a, off), _quartered(b, off)
+    arrays = EvenOddArrays(s, t, tuple(map(tuple, a)), tuple(map(tuple, b)))
     _cell_index(arrays, n)
     return arrays
+
+
+def _quartered(x: list[list[int]], off: int) -> list[list[int]]:
+    """The block matrix [[x, x + 2 off], [x + off, x + 3 off]]."""
+    top = [row + [p + 2 * off for p in row] for row in x]
+    bottom = [[p + off for p in row] + [p + 3 * off for p in row] for row in x]
+    return top + bottom
 
 
 def _cell_index(arrays: EvenOddArrays, n: int) -> list[int]:

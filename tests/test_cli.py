@@ -18,6 +18,7 @@ from local_antimagic.serialize import (
     graph_to_dict,
     parse_document,
     to_dot,
+    write_json,
 )
 import local_antimagic.circulants as circulants
 from local_antimagic import (
@@ -264,13 +265,14 @@ def test_certification_failure_exits_3_under_optimize():
     assert proc.stderr.startswith("certification failed: combined labeling of")
 
 
-# Numbers stay small because a document's vertex count sizes the graph
-# it builds (n = 1e12 exhausts memory); NaN and the infinities are added
-# since they reach int() as JSON floats.
+# Any integer or float, with vertex counts such as 1e12 that no document
+# this small can back drawn often; NaN and the infinities reach int() as
+# JSON floats.
 NUMBERS = (
     st.integers(-3, 40)
-    | st.floats(-3, 40)
-    | st.sampled_from([math.inf, -math.inf, math.nan])
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([1e12, 10**12, 2**70, math.inf, -math.inf, math.nan])
 )
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
@@ -293,6 +295,40 @@ def test_parse_document_raises_only_value_error(text):
         parse_document(text)
     except ValueError:
         pass
+
+
+def test_unbacked_vertex_count_is_refused_before_the_graph_is_built(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"graph":{"n":1e12,"edges":[]}}'))
+    assert main(["verify"]) == 2
+    assert "vertex count 1000000000000 is not backed" in capsys.readouterr().err
+
+
+def test_unreadable_input_file_exits_2(capsys, tmp_path):
+    missing = tmp_path / "no" / "such.json"
+    assert main(["verify", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {str(missing)!r}: No such file or directory\n"
+    )
+    assert main(["export", "json", str(tmp_path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "directives,message",
+    [
+        ('[{"fuse":[0,1]}]', "malformed directive {'fuse': [0, 1]}: KeyError('step')"),
+        ("5", "directives must be a JSON list, not 5"),
+        ("[1]", "malformed directive 1: TypeError"),
+        ('[{"keep":"x"}]', "malformed directive {'keep': 'x'}: TypeError"),
+    ],
+    ids=["fuse-without-step", "not-a-list", "not-an-object", "index-not-an-int"],
+)
+def test_malformed_directives_exit_2(capsys, monkeypatch, directives, message):
+    doc = document(union_graph(UnionSpec((3, 3))), EdgeLabeling((1, 2, 3, 4, 5, 6)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["transform", "union", "--orders", "3,3", "--directives", directives]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -366,6 +402,12 @@ PINNED_DIGESTS = {
         "24a5e5f4fa7774a95e7b6f2baf5fca363fc1b6a430dcabc124caa87014b71c46",
     ("reproduce-all",):
         "59b3056a0b01822275cc8ee3a1bad7935c98c502dd91a8f5748680bdaa37ea80",
+    ("spectrum", "--m", "16", "--steps", "1,3", "--against", "1,5"):
+        "25c7c0b5257b69a5ad5445342b1ed4a57776a49a8022b9f7668045bd7531f8b4",
+    ("iso", "--multiplier", "--n", "16", "--a", "3", "--b", "11"):
+        "735829c8efa3796183ab96c82ad5aecab93440529e106878b284967376f983e0",
+    ("build", "cycle", "--m", "9"):
+        "90dbae2fdafbe92fd3edfbfeae90620e211b80e62415d0a267b64a1df2780665",
 }
 
 
@@ -374,3 +416,118 @@ def test_constructor_documents_are_pinned(capsys, monkeypatch, args):
     code, out = run_cli(capsys, monkeypatch, list(args))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[args]
+
+
+UNION_DIRECTIVES = json.dumps(
+    [{"fuse": [2 * i, 2 * i + 1], "step": 3} for i in range(4)]
+    + [{"merge": 8, "case": 1, "k": 2}]
+)
+
+# sha256 of the consumer's output in `producer | consumer`, recorded
+# before the streaming JSON writer replaced json.dump.
+PINNED_PIPELINES = {
+    (("label", "circulant", "--m", "16", "--steps", "1,3"),
+     ("verify", "--expect-colors", "3", "--two-color-check")):
+        "5f71df6d718f211149ab1e9f6a97bee8ff3577cf9fd31855e89f0cfc03ac7a49",
+    (("label", "union3", "--orders", "16,20"), ("export", "json")):
+        "3f42d416b46df9c484826b7d0d94a76ffb2f3582f68cbad85aaf5ab5b65e21cf",
+    (("transform", "case", "--case", "5", "--k", "3"), ("export", "json")):
+        "1a197d9879fe0c3a63fd19b2c6ae3250652e0df1b78202f4add34d4af71d10c0",
+    (("transform", "matrix", "--s", "3", "--t", "2"), ("export", "json")):
+        "126565f333f74cd353abdd91f98cab852b3ab45c2da272cc02d6a19d5fbad21d",
+    (("label", "union2a", "--r", "9"),
+     ("transform", "union", "--orders", ",".join(["34"] * 8 + ["16"]),
+      "--directives", UNION_DIRECTIVES)):
+        "79e2278b6800283357be7de3b781da52c8631d9715eaaf163ebcc9bfc4d82941",
+    (("build", "cycle", "--m", "5"), ("oracle", "chi-la", "--colors", "2")):
+        "33b48b810f6c7c6595d4a5f6a07cb03bc3ab9a01de0fe42e0ff354788830111e",
+}
+
+
+@pytest.mark.parametrize(
+    "producer,consumer", list(PINNED_PIPELINES), ids=lambda args: " ".join(args[:2])
+)
+def test_pipeline_outputs_are_pinned(capsys, monkeypatch, producer, consumer):
+    code, doc = run_cli(capsys, monkeypatch, list(producer))
+    assert code == 0
+    code, out = run_cli(capsys, monkeypatch, list(consumer), stdin=doc)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PINNED_PIPELINES[producer, consumer]
+
+
+def dumped(value) -> str:
+    buf = io.StringIO()
+    write_json(value, buf)
+    return buf.getvalue()
+
+
+WRITER_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+WRITER_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+WRITER_VALUES = st.recursive(
+    WRITER_SCALARS
+    | st.lists(st.integers() | st.booleans(), max_size=6)
+    | st.lists(st.lists(st.integers(), max_size=3).map(tuple), max_size=4)
+    | st.lists(st.lists(st.text(max_size=3), max_size=3), max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.dictionaries(WRITER_KEYS, inner, max_size=3),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(WRITER_VALUES)
+def test_write_json_matches_json_dumps(value):
+    assert dumped(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("count", [4095, 4096, 4097])
+@pytest.mark.parametrize(
+    "row", [lambda i: i - 2000, lambda i: (i, i + 1), lambda i: [str(i), "\u00e9\n"]],
+    ids=["ints", "int-rows", "str-rows"],
+)
+def test_write_json_long_lists_across_slices(count, row):
+    items = [row(i) for i in range(count)]
+    for value in (items, tuple(items), {"graph": {"edges": items}, "labels": items}):
+        assert dumped(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("opener,closer", [('{"a":', "}"), ("[", "]")], ids=["objects", "lists"])
+def test_export_rewrites_the_deepest_document_it_parses(capsys, monkeypatch, opener, closer):
+    # The writer must not run out of stack where json.dump did not.
+    def nested(depth):
+        return '{"graph":{"n":2,"edges":[[0,1]]},"x":' + opener * depth + "1.5" + closer * depth + "}"
+
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        code, out = run_cli(capsys, monkeypatch, ["export", "json"], stdin=nested(depth))
+        if code != 2:
+            break
+    assert code == 0 and depth > 100
+    g, f, extra = parse_document(nested(depth))
+    assert out == json.dumps(document(g, f, **extra), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "child",
+    [
+        "import local_antimagic\n",
+        "import runpy\n"
+        "sys.argv = ['antimagic', 'label', 'c', '--m', '16']\n"
+        "try:\n"
+        "    runpy.run_module('local_antimagic', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    if exc.code:\n"
+        "        raise\n",
+    ],
+    ids=["import", "label-c"],
+)
+def test_numpy_stays_off_the_import_path(child):
+    code = "import sys\n" + child + "sys.exit(97 if 'numpy' in sys.modules else 0)\n"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import local_antimagic.cycle_merge as cycle_merge
@@ -173,6 +174,25 @@ def test_even_odd_arrays_cover_all_parities():
         odds = sorted(x for row in arrays.odds for x in row)
         assert evens == list(range(0, n, 2))
         assert odds == list(range(1, n, 2))
+
+
+def numpy_even_odd_arrays(s: int, t: int):
+    """The quartered block recursion as np.block, the reference for the
+    list version in the library."""
+    a = np.arange(0, 2 * t + 3, 2, dtype=np.int64).reshape(-1, 1)
+    b = np.arange(1, 2 * t + 4, 2, dtype=np.int64).reshape(1, -1)
+    for i in range(1, s):
+        off = 2 ** (2 * i - 2) * (2 * t + 4)
+        a = np.block([[a, a + 2 * off], [a + off, a + 3 * off]])
+        b = np.block([[b, b + 2 * off], [b + off, b + 3 * off]])
+    return tuple(map(tuple, a.tolist())), tuple(map(tuple, b.tolist()))
+
+
+@pytest.mark.parametrize("s", (2, 3, 4, 5))
+@pytest.mark.parametrize("t", (0, 1, 2, 3))
+def test_even_odd_arrays_match_numpy_block_recursion(s, t):
+    arrays = build_even_odd_arrays(s, t)
+    assert (arrays.evens, arrays.odds) == numpy_even_odd_arrays(s, t)
 
 
 @pytest.mark.parametrize("s", (2, 3))
