@@ -10,7 +10,6 @@ from .graphs import (
     build_circulant,
     build_cycle,
     delete_edge,
-    gamma_cycle,
     merge_vertices,
     one_point_union,
     partite_classes,
@@ -41,7 +40,6 @@ from .circulants import (
     labeling_matrix_view,
     multiplier_isomorphism,
     spectra_equal,
-    translated_labeling,
 )
 from .cycle_merge import (
     ConstructionMatrix,

@@ -19,7 +19,6 @@ from .graphs import (
     CirculantSpec,
     Graph,
     build_circulant,
-    gamma_cycle,
     verify_vertex_map,
 )
 from .labelings import EdgeLabeling, certify, validate_labeling
@@ -29,25 +28,17 @@ def c_labeling(m: int) -> EdgeLabeling:
     """The canonical three-color labeling of C_m."""
     if m < 3:
         raise ValueError(f"cycle order must be at least 3, got {m}")
-    return EdgeLabeling(
-        tuple((j + 2) // 2 if j % 2 == 0 else m - (j - 1) // 2 for j in range(m))
-    )
+    # Even edges j take (j+2)/2 = 1, 2, ...; odd edges m-(j-1)/2 = m, m-1, ...
+    labels = [0] * m
+    labels[::2] = range(1, (m + 1) // 2 + 1)
+    labels[1::2] = range(m, (m + 1) // 2, -1)
+    return EdgeLabeling(tuple(labels))
 
 
 def c_labeling_sums(m: int) -> tuple[int, int, int]:
     """Expected induced sums of the canonical cycle labeling:
     (at v_0, at odd vertices, at even vertices > 0)."""
     return (m // 2 + 2, m + 1, m + 2)
-
-
-def translated_labeling(m: int, a: int, i: int) -> tuple[Graph, EdgeLabeling]:
-    """The step-a cycle labeled by the canonical labeling shifted by i*m,
-    so its labels fill [i*m+1, (i+1)*m]."""
-    if i < 0:
-        raise ValueError("translation index must be non-negative")
-    base = c_labeling(m)
-    labels = EdgeLabeling(tuple(x + i * m for x in base.labels))
-    return gamma_cycle(m, a), labels
 
 
 def circulant_colors(n: int, t: int) -> frozenset[int]:

@@ -20,6 +20,7 @@ from .graphs import (
     build_circulant,
     build_cycle,
     merge_vertices,
+    sorted_edge_keys,
     verify_vertex_map,
 )
 from .circulants import c_labeling, render_table
@@ -142,15 +143,8 @@ def verify_case1_circulant(k: int) -> list[int]:
     plan = case_plan(1, k)
     merged = merge_vertices(build_cycle(8 * k), plan)
     target = build_circulant(CirculantSpec(4 * k, (1, 2 * k - 1)))
-    mapping = [0] * merged.n
-    for v in range(merged.n):
-        smallest = min(int(p) for p in merged.provenance[v])
-        if smallest % 2 == 0:
-            mapping[v] = smallest
-        elif smallest <= 2 * k - 1:
-            mapping[v] = smallest
-        else:
-            mapping[v] = smallest - 2 * k
+    smallest = [min(map(int, names)) for names in merged.provenance]
+    mapping = [p if p % 2 == 0 or p <= 2 * k - 1 else p - 2 * k for p in smallest]
     if not verify_vertex_map(merged, target, mapping):
         raise CertificationError(f"Case 1 relabeling failed certification at k={k}")
     return mapping
@@ -313,13 +307,17 @@ def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
 
     # Vertices u_0..u_{2*size-1}: row x is u_{2x}, column y is u_{2y+1}.
     cells = [(x, y) for x in range(size) for y in range(size) if pattern[x][y]]
-    columns = list(zip(*arrays.odds))
-    prov = [columns[v // 2] if v % 2 else arrays.evens[v // 2] for v in range(2 * size)]
-    graph = Graph(2 * size, tuple((2 * x, 2 * y + 1) for x, y in cells), tuple(prov))
+
+    def provenance():
+        columns = list(zip(*arrays.odds))
+        return tuple(tuple(map(str, columns[v // 2] if v % 2 else arrays.evens[v // 2]))
+                     for v in range(2 * size))
+
+    graph = Graph(2 * size, tuple((2 * x, 2 * y + 1) for x, y in cells), provenance)
     labeling = EdgeLabeling(tuple(labels[x][y] for x, y in cells))
 
     spec = CirculantSpec(2 * size, construction_steps(s, t))
-    if graph.edge_multiset() != build_circulant(spec).edge_multiset():
+    if sorted_edge_keys(graph) != sorted_edge_keys(build_circulant(spec)):
         raise CertificationError(f"pattern does not match the adjacency of {spec}")
     regular = 2 ** (s - 1) * (n + 2)
     sums = {regular - n // 2, regular, 2 ** (s - 1) * (n + 1)}

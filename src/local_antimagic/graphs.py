@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
+from operator import eq
 from typing import Optional
 
 
@@ -21,38 +23,42 @@ class CertificationError(AssertionError):
     never bad input.  An AssertionError, so existing handlers catch it."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
     """Immutable loop-free multigraph on vertices ``0..n-1``.
 
     ``provenance[v]`` is the set of original vertex identifiers that were
     collapsed into ``v`` (trivial for freshly built graphs).  It exists so
-    merged vertices can be displayed with their original subscripts.
+    merged vertices can be displayed with their original subscripts.  It
+    is built on first read: a graph stores nothing for the trivial
+    provenance, and a derived graph only the function that builds it.
+    A tuple of exact-int pairs is checked and kept as it is; any other
+    edge sequence is converted pair by pair.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    provenance: tuple[tuple[str, ...], ...] = ()
 
-    def __post_init__(self):
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
-        object.__setattr__(self, "edges", edges)
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u} is not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-        if not self.provenance:
-            object.__setattr__(
-                self, "provenance", tuple((str(v),) for v in range(self.n))
-            )
-        else:
-            prov = tuple(tuple(str(x) for x in entry) for entry in self.provenance)
-            if len(prov) != self.n:
-                raise ValueError("provenance length must equal vertex count")
-            object.__setattr__(self, "provenance", prov)
+    def __init__(self, n: int, edges, provenance=()):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", _checked_edges(n, edges))
+        object.__setattr__(self, "_names", _stored_names(n, provenance))
+
+    @cached_property
+    def provenance(self) -> tuple[tuple[str, ...], ...]:
+        return _provenance(self.n, self._names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n == other.n and self.edges == other.edges
+                and self.provenance == other.provenance)
+
+    def __hash__(self):
+        return hash((self.n, self.edges, self.provenance))
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges, self.provenance)
 
     @property
     def q(self) -> int:
@@ -116,8 +122,53 @@ class Graph:
     def vertex_name(self, v: int) -> str:
         return "v" + ",".join(self.provenance[v])
 
-    def edge_multiset(self) -> Counter:
-        return Counter(frozenset(e) for e in self.edges)
+
+def _checked_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """``edges`` as int pairs, none a loop and every end in ``0..n-1``.  A
+    tuple of exact-int pairs that passes is returned as it is; any other
+    input, or one that fails, takes the per-pair conversion and checks,
+    which raise on every failure."""
+    if type(edges) is tuple and n >= 0:
+        for e in edges:
+            if type(e) is not tuple or len(e) != 2:
+                break
+            u, v = e
+            if (type(u) is not int or type(v) is not int or u == v
+                    or u < 0 or v < 0 or u >= n or v >= n):
+                break
+        else:
+            return edges
+    edges = tuple((int(u), int(v)) for u, v in edges)
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at vertex {u} is not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    return edges
+
+
+def _stored_names(n: int, provenance):
+    """What a graph keeps of ``provenance``: None for the trivial one, a
+    function as it is, else the entries as tuples of strs."""
+    if callable(provenance):
+        return provenance
+    if not provenance or (
+            len(provenance) == n and set(map(type, provenance)) <= {list, tuple}
+            and set(map(len, provenance)) == {1}
+            and all(map(eq, chain.from_iterable(provenance), map(str, range(n))))):
+        return None
+    return _provenance(n, tuple(tuple(str(x) for x in entry) for entry in provenance))
+
+
+def _provenance(n: int, names) -> tuple[tuple[str, ...], ...]:
+    """The provenance a graph on n vertices keeps as ``names``."""
+    prov = tuple((str(v),) for v in range(n)) if names is None else names
+    prov = prov if type(prov) is tuple else prov()
+    if len(prov) != n:
+        raise ValueError("provenance length must equal vertex count")
+    return prov
 
 
 @dataclass(frozen=True)
@@ -193,7 +244,7 @@ def build_cycle(m: int) -> Graph:
     """Cycle C_m with edge j joining v_j and v_{j+1 mod m}."""
     if m < 3:
         raise ValueError(f"cycle order must be at least 3, got {m}")
-    return Graph(m, tuple((j, (j + 1) % m) for j in range(m)))
+    return Graph(m, tuple(zip(range(m), [*range(1, m), 0])))
 
 
 def gamma_cycle_sequence(m: int, a: int) -> tuple[int, ...]:
@@ -201,12 +252,6 @@ def gamma_cycle_sequence(m: int, a: int) -> tuple[int, ...]:
     if math.gcd(a % m, m) != 1:
         raise ValueError(f"step {a} is not coprime to {m}")
     return tuple((j * a) % m for j in range(m))
-
-
-def gamma_cycle(m: int, a: int) -> Graph:
-    """The m-cycle visiting 0, a, 2a, ... ; edge j joins ja and (j+1)a."""
-    seq = gamma_cycle_sequence(m, a)
-    return Graph(m, tuple(zip(seq, seq[1:] + seq[:1])))
 
 
 def build_circulant(spec: CirculantSpec) -> Graph:
@@ -227,33 +272,31 @@ def merge_vertices(g: Graph, plan: MergePlan) -> Graph:
     """Collapse each block of the plan into one vertex, keeping all edges.
 
     The merged vertex takes the rank of the smallest original index among
-    all block minima; edge indices are preserved.  A block containing two
-    adjacent vertices would create a loop and is rejected.
+    all block minima, so the block of vertex 0 becomes vertex 0; edge
+    indices are preserved.  A block containing two adjacent vertices would
+    create a loop and is rejected.
     """
     if plan.n != g.n:
         raise ValueError(f"plan is for {plan.n} vertices, graph has {g.n}")
-    block_of = [0] * g.n
-    for b, block in enumerate(plan.blocks):
+    blocks = sorted(plan.blocks)
+    rank = [0] * g.n
+    for i, block in enumerate(blocks):
         for v in block:
-            block_of[v] = b
+            rank[v] = i
     for u, v in g.edges:
-        if block_of[u] == block_of[v]:
+        if rank[u] == rank[v]:
             raise ValueError(
-                f"block {plan.blocks[block_of[u]]} contains adjacent vertices "
+                f"block {blocks[rank[u]]} contains adjacent vertices "
                 f"{u} and {v}; merging would create a loop"
             )
-    order = sorted(range(len(plan.blocks)), key=lambda b: plan.blocks[b][0])
-    new_index = {b: i for i, b in enumerate(order)}
-    prov = []
-    for b in order:
-        merged: list[str] = []
-        for v in plan.blocks[b]:
-            merged.extend(g.provenance[v])
-        prov.append(tuple(sorted(set(merged), key=_prov_key)))
-    edges = tuple(
-        (new_index[block_of[u]], new_index[block_of[v]]) for u, v in g.edges
-    )
-    return Graph(len(plan.blocks), edges, tuple(prov))
+    source = partial(_provenance, g.n, g._names)
+
+    def provenance():
+        prov = source()
+        return tuple(tuple(sorted({p for v in block for p in prov[v]}, key=_prov_key))
+                     for block in blocks)
+
+    return Graph(len(blocks), tuple([(rank[u], rank[v]) for u, v in g.edges]), provenance)
 
 
 def _prov_key(s: str):
@@ -271,29 +314,26 @@ def one_point_union(graphs: list[Graph], attach: list[int]) -> Graph:
         raise ValueError("one-point union of an empty list")
     if len(attach) != len(graphs):
         raise ValueError("one attach vertex per graph required")
-    single = len(graphs) == 1
     offset = 1
-    maps: list[list[int]] = []
-    prov: list[tuple[str, ...]] = []
-    central_prov: list[str] = []
+    edges: list[tuple[int, int]] = []
     for idx, (g, a) in enumerate(zip(graphs, attach)):
         if not 0 <= a < g.n:
             raise ValueError(f"attach vertex {a} out of range for graph {idx}")
-        vmap = [0] * g.n
-        prefix = "" if single else f"c{idx}."
-        for v in range(g.n):
-            if v == a:
-                vmap[v] = 0
-                central_prov.extend(prefix + p for p in g.provenance[v])
-            else:
-                vmap[v] = offset
-                prov.append(tuple(prefix + p for p in g.provenance[v]))
-                offset += 1
-        maps.append(vmap)
-    edges: list[tuple[int, int]] = []
-    for g, vmap in zip(graphs, maps):
-        edges.extend((vmap[u], vmap[v]) for u, v in g.edges)
-    provenance = (tuple(central_prov),) + tuple(prov)
+        vmap = [*range(offset, offset + a), 0, *range(offset + a, offset + g.n - 1)]
+        edges += [(vmap[u], vmap[v]) for u, v in g.edges]
+        offset += g.n - 1
+    sources = [(partial(_provenance, g.n, g._names), a) for g, a in zip(graphs, attach)]
+
+    def provenance():
+        central: list[str] = []
+        rest: list[tuple[str, ...]] = []
+        for idx, (source, a) in enumerate(sources):
+            prov = source()
+            prefix = "" if len(sources) == 1 else f"c{idx}."
+            central.extend(prefix + p for p in prov[a])
+            rest.extend(tuple(prefix + p for p in entry) for entry in prov[:a] + prov[a + 1:])
+        return (tuple(central), *rest)
+
     return Graph(offset, tuple(edges), provenance)
 
 
@@ -301,7 +341,7 @@ def delete_edge(g: Graph, e: int) -> Graph:
     """Remove edge ``e``; the remaining edges keep their relative order."""
     if not 0 <= e < g.q:
         raise ValueError(f"edge index {e} out of range")
-    return Graph(g.n, g.edges[:e] + g.edges[e + 1 :], g.provenance)
+    return Graph(g.n, g.edges[:e] + g.edges[e + 1 :], partial(_provenance, g.n, g._names))
 
 
 def first_coloring(g: Graph, k: int) -> Optional[list[int]]:
@@ -454,5 +494,12 @@ def verify_vertex_map(g1: Graph, g2: Graph, mapping: list[int]) -> bool:
     """True iff ``mapping`` is a bijection with equal edge multisets."""
     if sorted(mapping) != list(range(g2.n)):
         return False
-    mapped = Counter(frozenset((mapping[u], mapping[v])) for u, v in g1.edges)
-    return mapped == g2.edge_multiset()
+    mapped = Graph(g2.n, [(mapping[u], mapping[v]) for u, v in g1.edges])
+    return sorted_edge_keys(mapped) == sorted_edge_keys(g2)
+
+
+def sorted_edge_keys(g: Graph) -> list[int]:
+    """The edges as the sorted ints min*n + max: two graphs on n vertices
+    have equal edge multisets exactly when these lists are equal."""
+    n = g.n
+    return sorted([u * n + v if u < v else v * n + u for u, v in g.edges])

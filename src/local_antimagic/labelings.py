@@ -18,12 +18,15 @@ from .graphs import CertificationError, Graph, partite_classes
 
 @dataclass(frozen=True)
 class EdgeLabeling:
-    """Labels by edge index: ``labels[i]`` is the label of edge i."""
+    """Labels by edge index: ``labels[i]`` is the label of edge i.  A tuple
+    of exact ints is kept as it is; any other input is converted by int."""
 
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(x) for x in self.labels))
+        labels = self.labels
+        if type(labels) is not tuple or not set(map(type, labels)) <= {int}:
+            object.__setattr__(self, "labels", tuple(map(int, labels)))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -48,7 +51,8 @@ class InducedColoring:
 
 
 def validate_labeling(g: Graph, f: EdgeLabeling) -> None:
-    if len(f) != g.q or sorted(f.labels) != list(range(1, g.q + 1)):
+    labels, q = f.labels, g.q
+    if len(labels) != q or q and (min(labels), max(labels), len(set(labels))) != (1, q, q):
         raise ValueError(
             f"labeling must be a bijection onto 1..{g.q}, got {len(f)} labels"
         )

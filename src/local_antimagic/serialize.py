@@ -31,9 +31,9 @@ _SPARE_VERTICES = 1 << 16
 
 
 def graph_from_dict(data: dict[str, Any]) -> Graph:
-    """``Graph`` converts the edges and provenance entries itself.  A vertex
-    count that neither the provenance entries nor the edges can back
-    raises ValueError first."""
+    """``Graph`` converts the edges and provenance entries itself, and keeps
+    nothing for a trivial provenance list.  A vertex count that neither the
+    provenance entries nor the edges can back raises ValueError first."""
     n, edges, provenance = int(data["n"]), data["edges"], data.get("provenance") or ()
     if n > max(len(provenance), 2 * len(edges) + _SPARE_VERTICES):
         raise ValueError(f"vertex count {n} is not backed by {len(edges)} edges "

@@ -223,14 +223,14 @@ def transform_union(
         consumed.add(cycle)
         return slices[cycle]
 
+    # Every constituent attaches at its vertex 0: the cycles' v_0, and for
+    # a merge the block holding v_0, which merge_vertices ranks first.
     graphs: list[Graph] = []
-    attach: list[int] = []
     labels: list[int] = []
     for d in directives:
         if isinstance(d, KeepCycle):
             labels.extend(take(d.cycle))
             graphs.append(build_cycle(spec.orders[d.cycle]))
-            attach.append(0)
         elif isinstance(d, FuseCycles):
             labels.extend(take(d.first))
             labels.extend(take(d.second))
@@ -238,22 +238,16 @@ def transform_union(
             if spec.orders[d.second] != n:
                 raise ValueError("fused cycles must have equal order")
             graphs.append(build_circulant(CirculantSpec(n, (1, d.step))))
-            attach.append(0)
         elif isinstance(d, MergeCycle):
             labels.extend(take(d.cycle))
-            merged = merge_vertices(build_cycle(spec.orders[d.cycle]), d.plan)
-            graphs.append(merged)
-            at = next(
-                v for v in range(merged.n) if "0" in merged.provenance[v]
-            )
-            attach.append(at)
+            graphs.append(merge_vertices(build_cycle(spec.orders[d.cycle]), d.plan))
         else:
             raise TypeError(f"unknown directive {d!r}")
     if consumed != set(range(spec.r)):
         missing = sorted(set(range(spec.r)) - consumed)
         raise ValueError(f"cycles {missing} not consumed by any directive")
 
-    graph = one_point_union(graphs, attach)
+    graph = one_point_union(graphs, [0] * len(graphs))
     new_labeling = EdgeLabeling(tuple(labels))
     coloring = certify(f"transformed union of {spec.orders}", graph, new_labeling)
     return UnionTransformResult(

@@ -22,7 +22,6 @@ from local_antimagic import (
     labeling_matrix_view,
     multiplier_isomorphism,
     spectra_equal,
-    translated_labeling,
 )
 
 from conftest import load_golden_matrix
@@ -44,10 +43,15 @@ def test_c_labeling_class_structure():
     assert classes[m + 2] == [2, 4, 6, 8]
 
 
-def test_translated_labeling_range():
-    g, f = translated_labeling(16, 3, 2)
-    assert sorted(f.labels) == list(range(33, 49))
-    assert g.edges[0] == (0, 3)
+def test_circulant_labeling_translates_each_step_cycle():
+    # The i-th step cycle carries the canonical labeling shifted by i*m,
+    # laid from vertex 0 along the step: labels [i*m+1, (i+1)*m].
+    g, f = circulant_labeling(CirculantSpec(16, (1, 3, 5)))
+    for i, a in enumerate((1, 3, 5)):
+        block = slice(16 * i, 16 * (i + 1))
+        assert f.labels[block] == tuple(x + 16 * i for x in c_labeling(16).labels)
+        assert g.edges[16 * i] == (0, a)
+    assert sorted(f.labels[32:]) == list(range(33, 49))
 
 
 def test_circulant_labeling_refuses_odd_order():

@@ -8,6 +8,7 @@ import pytest
 
 import local_antimagic.cycle_merge as cycle_merge
 from local_antimagic import (
+    CertificationError,
     CirculantSpec,
     Graph,
     are_isomorphic,
@@ -287,3 +288,19 @@ def test_case_plan_requires_k_at_least_two():
         case_plan(1, 1)
     with pytest.raises(ValueError):
         case_plan(9, 2)
+
+
+def test_construction_matrix_cross_check_sees_one_moved_edge(monkeypatch):
+    # The pattern is compared with the circulant's edges as sorted int
+    # keys; a circulant with one edge moved must fail certification, also
+    # when the move keeps the sum of the edge's two ends.
+    real = cycle_merge.build_circulant
+
+    def moved(spec):
+        g = real(spec)
+        i, (u, v) = next((i, e) for i, e in enumerate(g.edges) if e[1] - e[0] >= 3)
+        return Graph(g.n, g.edges[:i] + ((u + 1, v - 1),) + g.edges[i + 1:])
+
+    monkeypatch.setattr(cycle_merge, "build_circulant", moved)
+    with pytest.raises(CertificationError, match="pattern does not match"):
+        build_construction_matrix(2, 1)

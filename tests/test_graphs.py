@@ -1,24 +1,42 @@
 import hashlib
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from local_antimagic import (
     CirculantSpec,
+    FuseCycles,
     Graph,
+    MergeCycle,
     MergePlan,
+    UnionSpec,
     are_isomorphic,
     build_circulant,
+    build_construction_matrix,
     build_cycle,
+    case_plan,
+    circulant_labeling,
     delete_edge,
-    gamma_cycle,
     merge_vertices,
     one_point_union,
     partite_classes,
+    transform_cycle,
+    transform_union,
+    union_2labeling_family1,
+    union_3labeling,
     verify_vertex_map,
 )
 from local_antimagic.graphs import gamma_cycle_sequence
+from local_antimagic.serialize import graph_from_dict, graph_to_dict
 
 from conftest import random_connected_graph
 
@@ -59,9 +77,11 @@ def test_circulant_spec_validation():
 
 
 def test_gamma_cycle_sequence():
-    assert gamma_cycle_sequence(16, 3) == (
-        0, 3, 6, 9, 12, 15, 2, 5, 8, 11, 14, 1, 4, 7, 10, 13,
-    )
+    seq = gamma_cycle_sequence(16, 3)
+    assert seq == (0, 3, 6, 9, 12, 15, 2, 5, 8, 11, 14, 1, 4, 7, 10, 13)
+    # build_circulant lays each step cycle along its sequence from vertex 0.
+    g = build_circulant(CirculantSpec(16, (1, 3)))
+    assert g.edges[16:] == tuple(zip(seq, seq[1:] + seq[:1]))
 
 
 def test_circulant_edges_by_step():
@@ -264,3 +284,172 @@ def test_isomorphism_returns_the_mappings_of_the_recursive_search():
         mappings.append(are_isomorphic(g, h))
     digest = hashlib.sha256(json.dumps(mappings).encode()).hexdigest()
     assert digest == "53786609a81e242e360d063341eee8d30dc57dc45aff8ddb6728a0fcc9000414"
+
+
+# ---------------------------------------------------------------- edge check
+
+def parent_edges(n, edges):
+    """The edge check as every input took it before exact-int tuples were
+    kept as they are: convert each pair, then check it."""
+    edges = tuple((int(u), int(v)) for u, v in edges)
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at vertex {u} is not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    return edges
+
+
+def outcome(build):
+    try:
+        edges = build()
+    except Exception as exc:  # the error text is part of the contract
+        return type(exc), str(exc)
+    if isinstance(edges, Graph):
+        edges = edges.edges
+    assert type(edges) is tuple
+    assert all(type(e) is tuple and [type(x) for x in e] == [int, int] for e in edges)
+    return edges
+
+
+END = st.one_of(
+    st.integers(-2, 7),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, 2.5, -1.5]),
+    st.integers(0, 7).map(np.int64),
+)
+# Ways to spoil one exact pair (u, v) with an end x drawn from END.
+SPOILERS = (
+    lambda u, v, x: (u, x),
+    lambda u, v, x: (x, v),
+    lambda u, v, x: [u, v],
+    lambda u, v, x: (u,),
+    lambda u, v, x: (u, v, x),
+)
+
+
+@st.composite
+def edge_inputs(draw):
+    """A vertex count and exact-int pairs that pass the check, one of which
+    may be spoilt: a list, a 1- or 3-tuple, or an end that is a bool, a
+    float, a numpy int, negative, out of range or the other end."""
+    n = draw(st.integers(-1, 6))
+    pairs = []
+    if n >= 2:
+        steps = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        pairs = [(u, (u + d) % n) for u, d in draw(st.lists(steps, max_size=6))]
+    if pairs and draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = draw(st.sampled_from(SPOILERS))(*pairs[i], draw(END))
+    return n, pairs
+
+
+@given(edge_inputs(), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_edge_check_matches_the_coercing_path(case, as_tuple):
+    n, pairs = case
+    edges = tuple(pairs) if as_tuple else list(pairs)
+    assert outcome(lambda: Graph(n, edges)) == outcome(lambda: parent_edges(n, edges))
+    # The same pairs as a list of lists always take the coercing path.
+    as_lists = [list(e) for e in pairs]
+    assert outcome(lambda: Graph(n, edges)) == outcome(lambda: Graph(n, as_lists))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]), max_size=8))))
+@settings(max_examples=100, deadline=None)
+def test_exact_int_edges_are_kept_as_they_are(case):
+    n, pairs = case
+    edges = tuple(pairs)
+    g = Graph(n, edges)
+    assert g.edges is edges
+    assert g == Graph(n, [list(e) for e in pairs])
+
+
+def test_edge_check_survives_optimize():
+    code = (
+        "from local_antimagic import Graph\n"
+        "for edges in (((0, 1), (2, 2)), ((0, 1), (1, 3))):\n"
+        "    try:\n"
+        "        Graph(3, edges)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout.splitlines() == [
+        "loop at vertex 2 is not allowed", "edge (1,3) out of range for n=3",
+    ], proc.stdout + proc.stderr
+
+
+# ---------------------------------------------------------------- provenance
+
+def built_graphs():
+    """A graph from every constructor that leaves provenance unbuilt."""
+    labeled = union_2labeling_family1(9)
+    directives = [FuseCycles(2 * i, 2 * i + 1, 3) for i in range(4)]
+    directives.append(MergeCycle(8, case_plan(1, 2)))
+    plan = case_plan(3, 2)
+    return {
+        "build_cycle": build_cycle(12),
+        "circulant_labeling": circulant_labeling(CirculantSpec(16, (1, 3)))[0],
+        "transform_cycle": transform_cycle(plan.n, plan).graph,
+        "union_3labeling": union_3labeling(UnionSpec((16, 20))).graph,
+        "transform_union": transform_union(labeled.spec, labeled.labeling, directives).graph,
+        "build_construction_matrix": build_construction_matrix(3, 1).graph,
+    }
+
+
+def test_constructors_leave_provenance_unbuilt():
+    for name, g in built_graphs().items():
+        assert "provenance" not in vars(g), name
+
+
+def test_provenance_read_gives_the_original_names():
+    merged = merge_vertices(build_cycle(8), MergePlan(
+        8, ((0, 4), (2, 6), (1, 5), (3, 7)), ("A", "A", "B", "B")))
+    assert "provenance" not in vars(merged)
+    assert merged.provenance == (("0", "4"), ("1", "5"), ("2", "6"), ("3", "7"))
+    union = one_point_union([build_cycle(4), build_cycle(3)], [0, 0])
+    assert union.provenance == (
+        ("c0.0", "c1.0"), ("c0.1",), ("c0.2",), ("c0.3",), ("c1.1",), ("c1.2",))
+    # A union of merged graphs prefixes the merged names.
+    nested = one_point_union([merged, build_cycle(3)], [1, 2])
+    assert nested.provenance == (("c0.1", "c0.5", "c1.2"), ("c0.0", "c0.4"),
+                                 ("c0.2", "c0.6"), ("c0.3", "c0.7"), ("c1.0",), ("c1.1",))
+    assert delete_edge(nested, 0).provenance == nested.provenance
+    matrix = build_construction_matrix(2, 0)
+    assert matrix.graph.provenance[:3] == (("0", "8"), ("1", "5"), ("2", "10"))
+
+
+def test_graphs_equal_their_json_round_trip():
+    graphs = built_graphs()
+    graphs["one_point_union"] = one_point_union([build_cycle(4), build_cycle(3)], [0, 0])
+    for name, g in graphs.items():
+        h = graph_from_dict(json.loads(json.dumps(graph_to_dict(g))))
+        assert g == h and h == g, name
+        assert hash(g) == hash(h), name
+        assert pickle.loads(pickle.dumps(g)) == g, name
+    trivial = [[str(v)] for v in range(5)]
+    assert Graph(5, build_cycle(5).edges, trivial) == build_cycle(5)
+    assert "provenance" not in vars(Graph(5, build_cycle(5).edges, trivial))
+    assert Graph(3, (), [[0], [1], [2]]).provenance == (("0",), ("1",), ("2",))
+    assert Graph(3, (), [["0"], ["2"], ["1"]]) != Graph(3, ())
+    with pytest.raises(ValueError, match="provenance length"):
+        Graph(3, (), [["0"], ["1"]])
+
+
+@pytest.mark.parametrize("case", range(1, 9))
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_merged_vertex_zero_holds_the_original_vertex_zero(case, k):
+    # transform_union attaches a merged cycle at vertex 0, the rank of the
+    # block of v_0; the provenance scan it replaces finds the same vertex.
+    plan = case_plan(case, k)
+    merged = merge_vertices(build_cycle(plan.n), plan)
+    assert next(v for v in range(merged.n) if "0" in merged.provenance[v]) == 0

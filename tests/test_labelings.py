@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,3 +167,26 @@ def test_certify_names_both_sum_sets():
         CertificationError, match=r"^C_8: induced sums \[6, 9, 10\], expected \[1, 2\]$"
     ):
         certify("C_8", build_cycle(8), c_labeling(8), frozenset({1, 2}))
+
+
+def test_validate_keeps_the_bijection_message():
+    g = build_cycle(4)
+    for labels in ((1, 2, 2, 4), (0, 1, 2, 3), (1, 2, 3, 5), (4, 3, 2, 1, 5), (1, 2, 3)):
+        message = f"labeling must be a bijection onto 1..4, got {len(labels)} labels"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_labeling(g, EdgeLabeling(labels))
+    validate_labeling(g, EdgeLabeling((4, 2, 3, 1)))
+    validate_labeling(Graph(2, ()), EdgeLabeling(()))
+
+
+def test_edge_labeling_coerces_like_int():
+    f = EdgeLabeling((1.0, True, 3, 2.9))
+    assert f.labels == (1, 1, 3, 2)
+    assert [type(x) for x in f.labels] == [int] * 4
+    assert EdgeLabeling([2, 1]).labels == (2, 1)
+    exact = (3, 1, 2)
+    assert EdgeLabeling(exact).labels is exact
+    with pytest.raises(TypeError):
+        EdgeLabeling(5)
+    with pytest.raises(ValueError):
+        EdgeLabeling(("x",))
