@@ -47,7 +47,6 @@ from .cycle_merge import (
     build_even_odd_arrays,
     case_plan,
     family_colors,
-    merge_plan_from_arrays,
     transform_cycle,
     verify_case1_circulant,
 )

@@ -5,6 +5,10 @@ even-order circulants of every 2^s degree.
 Eight named merge plans cover the residues of n mod 8; merging preserves
 edge labels, so the induced sums of the merged graph are the sums of the
 originals and land on exactly three values per residue family.
+
+The construction matrix folds the labeled cycle along two arrays: each
+row of the even array and each column of the odd array merges into one
+vertex, and cycle edge j keeps its label in the cell holding its ends.
 """
 
 from __future__ import annotations
@@ -155,8 +159,6 @@ class EvenOddArrays:
     """Block-recursive arrays of the evens (columns) and odds (rows) of
     [0, n-1], for n = 2^{2s-1}(t+2)."""
 
-    s: int
-    t: int
     evens: tuple[tuple[int, ...], ...]  # 2^{s-1}(t+2) x 2^{s-1}
     odds: tuple[tuple[int, ...], ...]  # 2^{s-1} x 2^{s-1}(t+2)
 
@@ -172,7 +174,7 @@ def build_even_odd_arrays(s: int, t: int) -> EvenOddArrays:
     for i in range(1, s):
         off = 2 ** (2 * i - 2) * (2 * t + 4)
         a, b = _quartered(a, off), _quartered(b, off)
-    arrays = EvenOddArrays(s, t, tuple(map(tuple, a)), tuple(map(tuple, b)))
+    arrays = EvenOddArrays(tuple(map(tuple, a)), tuple(map(tuple, b)))
     _cell_index(arrays, n)
     return arrays
 
@@ -211,8 +213,8 @@ def construction_steps(s: int, t: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ConstructionMatrix:
-    """0/1 incidence pattern plus the label matrix of the iterated
-    construction, together with the certified circulant it realizes.
+    """Label matrix of the iterated construction, together with the
+    certified circulant it realizes and its induced sums.
 
     Rows index the merged even groups (vertices u_0, u_2, ...), columns
     the merged odd groups (u_1, u_3, ...).  Row sums of the label matrix
@@ -224,29 +226,28 @@ class ConstructionMatrix:
     t: int
     n: int
     arrays: EvenOddArrays
-    pattern: tuple[tuple[int, ...], ...]
     labels: tuple[tuple[Optional[int], ...], ...]
     spec: CirculantSpec
     graph: Graph
     labeling: EdgeLabeling
+    sums: tuple[int, ...]
 
     @property
     def order(self) -> int:
-        return len(self.pattern)
+        return len(self.labels)
+
+    @property
+    def pattern(self) -> tuple[tuple[int, ...], ...]:
+        """The 0/1 incidence pattern: 1 where a cell holds a label."""
+        return tuple(tuple(int(x is not None) for x in row) for row in self.labels)
 
     @property
     def row_sums(self) -> tuple[int, ...]:
-        return tuple(
-            sum(x for x in row if x is not None) for row in self.labels
-        )
+        return self.sums[::2]
 
     @property
     def col_sums(self) -> tuple[int, ...]:
-        size = self.order
-        return tuple(
-            sum(self.labels[x][y] for x in range(size) if self.labels[x][y] is not None)
-            for y in range(size)
-        )
+        return self.sums[1::2]
 
     def render(self) -> str:
         """Text table in the layout of the label matrices elsewhere in
@@ -267,46 +268,31 @@ class ConstructionMatrix:
 
 
 def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
-    """Build the incidence and label matrices for parameters (s, t) and
-    certify the resulting 2^s-regular circulant and its 3-color labeling.
+    """Fold the canonically labeled C_n, n = 2^{2s-1}(t+2), along the even
+    and odd arrays and certify the resulting 2^s-regular circulant and
+    its 3-color labeling.
 
-    A cell is occupied when its even row and odd column hold consecutive
-    integers p, q; the label is p/2+1 when q=p+1 and n-p/2+1 when q=p-1.
-    The top-right corner additionally carries n/2+1, matching the
-    canonical cycle labeling the construction folds up.
+    Cycle edge j joins v_j and v_{j+1 mod n}; it goes to the cell whose
+    row holds its even end and whose column holds its odd end, and keeps
+    its label from ``c_labeling(n)``.
     """
     arrays = build_even_odd_arrays(s, t)
     n = 2 ** (2 * s - 1) * (t + 2)
     size = 2 ** (s - 1) * (t + 2)
     index = _cell_index(arrays, n)
-    pattern = [[0] * size for _ in range(size)]
     labels: list[list[Optional[int]]] = [[None] * size for _ in range(size)]
-    for p in range(0, n, 2):
-        x = index[p]
-        for q, label in ((p - 1, n - p // 2 + 1), (p + 1, p // 2 + 1)):
-            if q < 0:
-                continue
-            y = index[q]
-            if labels[x][y] is not None:
-                raise CertificationError(
-                    f"cell ({x},{y}) holds two consecutive pairs, one of them {(p, q)}"
-                )
-            pattern[x][y] = 1
-            labels[x][y] = label
-    if labels[0][size - 1] is not None:
-        raise CertificationError("corner cell unexpectedly occupied")
-    pattern[0][size - 1] = 1
-    labels[0][size - 1] = n // 2 + 1
-    used = sorted(x for row in labels for x in row if x is not None)
-    if used != list(range(1, n + 1)):
-        raise CertificationError("construction labels are not a bijection onto 1..n")
-    for x in range(size):
-        shifted = [pattern[x][(y - 1) % size] for y in range(size)]
-        if pattern[(x + 1) % size] != shifted:
-            raise CertificationError("incidence pattern rows are not cyclic shifts")
+    for j, label in enumerate(c_labeling(n).labels):
+        even, odd = (j, j + 1) if j % 2 == 0 else ((j + 1) % n, j)
+        x, y = index[even], index[odd]
+        if labels[x][y] is not None:
+            raise CertificationError(f"cell ({x},{y}) holds two cycle edges, one of them {j}")
+        labels[x][y] = label
+    holes = [[x is None for x in row] for row in labels]
+    if any(holes[x - 1][-1:] + holes[x - 1][:-1] != holes[x] for x in range(size)):
+        raise CertificationError("incidence pattern rows are not cyclic shifts")
 
     # Vertices u_0..u_{2*size-1}: row x is u_{2x}, column y is u_{2y+1}.
-    cells = [(x, y) for x in range(size) for y in range(size) if pattern[x][y]]
+    cells = [(x, y) for x in range(size) for y in range(size) if labels[x][y] is not None]
 
     def provenance():
         columns = list(zip(*arrays.odds))
@@ -321,31 +307,6 @@ def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
         raise CertificationError(f"pattern does not match the adjacency of {spec}")
     regular = 2 ** (s - 1) * (n + 2)
     sums = {regular - n // 2, regular, 2 ** (s - 1) * (n + 1)}
-    certify(f"construction labeling of {spec}", graph, labeling, frozenset(sums))
-    return ConstructionMatrix(
-        s,
-        t,
-        n,
-        arrays,
-        tuple(map(tuple, pattern)),
-        tuple(tuple(r) for r in labels),
-        spec,
-        graph,
-        labeling,
-    )
-
-
-def merge_plan_from_arrays(arrays: EvenOddArrays) -> MergePlan:
-    """Merge plan collapsing C_n by the array rows (evens) and columns
-    (odds); with s=2 this is the generic pair merge, larger s folds the
-    cycle into a 2^s-regular graph."""
-    n = 2 ** (2 * arrays.s - 1) * (arrays.t + 2)
-    size = len(arrays.evens)
-    a_blocks = [tuple(sorted(row)) for row in arrays.evens]
-    b_blocks = [
-        tuple(sorted(arrays.odds[rr][y] for rr in range(len(arrays.odds))))
-        for y in range(size)
-    ]
-    blocks = tuple(a_blocks) + tuple(b_blocks)
-    kinds = ("A",) * len(a_blocks) + ("B",) * len(b_blocks)
-    return MergePlan(n, blocks, kinds)
+    coloring = certify(f"construction labeling of {spec}", graph, labeling, frozenset(sums))
+    return ConstructionMatrix(s, t, n, arrays, tuple(map(tuple, labels)), spec, graph,
+                              labeling, coloring.sums)

@@ -104,17 +104,7 @@ class Graph:
         return self.n > 0 and len(set(self.degrees)) == 1
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        return self.n == 0 or len(_bfs_order(self, (0,))) == self.n
 
     def pendant_count(self) -> int:
         return sum(1 for d in self.degrees if d == 1)
@@ -221,22 +211,23 @@ class MergePlan:
         object.__setattr__(self, "blocks", blocks)
         if len(self.kinds) != len(blocks):
             raise ValueError("one kind per block required")
-        seen: set[int] = set()
+        covered = [False] * self.n
         for block, kind in zip(blocks, self.kinds):
             if kind not in ("A", "B", "C"):
                 raise ValueError(f"unknown block kind {kind!r}")
             if not block:
                 raise ValueError("empty block")
-            if len(set(block)) != len(block):
-                raise ValueError("repeated vertex inside a block")
             if kind == "A" and any(v % 2 for v in block):
                 raise ValueError(f"A-block {block} contains an odd index")
             if kind == "B" and any(v % 2 == 0 for v in block):
                 raise ValueError(f"B-block {block} contains an even index")
             if kind == "C" and len(block) > 3:
                 raise ValueError("C-blocks have size at most 3")
-            seen.update(block)
-        if seen != set(range(self.n)):
+            for v in block:
+                if not 0 <= v < self.n or covered[v]:
+                    raise ValueError("blocks must partition the vertex set")
+                covered[v] = True
+        if not all(covered):
             raise ValueError("blocks must partition the vertex set")
 
 
@@ -402,6 +393,26 @@ def partite_classes(g: Graph, k: int) -> Optional[list[list[int]]]:
     return [[v for v in range(g.n) if color[v] == c] for c in range(k)]
 
 
+def _bfs_order(g: Graph, starts) -> list[int]:
+    """The vertices reached from ``starts`` in breadth-first order; each
+    start not reached yet opens the next component."""
+    order: list[int] = []
+    seen = [False] * g.n
+    head = 0
+    for start in starts:
+        if seen[start]:
+            continue
+        seen[start] = True
+        order.append(start)
+        while head < len(order):
+            for w in g.adjacency[order[head]]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+            head += 1
+    return order
+
+
 def _neighbor_degree_signature(g: Graph) -> list[tuple]:
     return [
         (g.degrees[v], tuple(sorted(g.degrees[w] for w in g.adjacency[v])))
@@ -426,20 +437,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[list[int]]:
 
     # BFS order so each vertex (after the first of a component) has a
     # mapped neighbor, which shrinks its candidate set to a neighborhood.
-    order: list[int] = []
-    seen = [False] * g1.n
-    for start in range(g1.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in g1.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+    order = _bfs_order(g1, range(g1.n))
 
     mapping = [-1] * g1.n
     inverse = [-1] * g2.n

@@ -25,7 +25,6 @@ from local_antimagic import (
     deleted_edge_labeling,
     family_colors,
     induced_coloring,
-    merge_plan_from_arrays,
     merge_vertices,
     partite_classes,
     transform_cycle,
@@ -270,17 +269,30 @@ def test_construction_render_layout():
     assert len(lines) == 2 + 4 + 1
 
 
-def test_array_merge_plan_matches_construction_graph():
-    for s, t in ((2, 0), (2, 1)):
-        arrays = build_even_odd_arrays(s, t)
-        n = 2 ** (2 * s - 1) * (t + 2)
-        plan = merge_plan_from_arrays(arrays)
-        merged = merge_vertices(build_cycle(n), plan)
-        built = build_construction_matrix(s, t)
-        mapping = are_isomorphic(merged, built.graph)
-        assert mapping is not None
+def test_case1_plan_is_the_s2_fold():
+    # At s = 2 the arrays fold C_n, n = 8(t+2), in pairs: the Case 1 plan.
+    for t in (0, 1, 4):
+        n = 8 * (t + 2)
+        merged = merge_vertices(build_cycle(n), case_plan(1, t + 2))
+        built = build_construction_matrix(2, t)
+        assert are_isomorphic(merged, built.graph) is not None
         coloring = induced_coloring(merged, c_labeling(n))
-        assert not coloring.conflicts and len(coloring.colors) == 3
+        assert sorted(coloring.sums) == sorted(built.sums)
+
+
+@pytest.mark.parametrize("s", (2, 3, 4))
+@pytest.mark.parametrize("t", (0, 1, 2))
+def test_construction_matrix_folds_the_labeled_cycle(s, t):
+    # Each edge joins the groups of cycle-consecutive j, j+1 mod n and
+    # carries the canonical label of cycle edge j.
+    built = build_construction_matrix(s, t)
+    n = built.n
+    cycle_labels = c_labeling(n).labels
+    groups = [{int(p) for p in names} for names in built.graph.provenance]
+    for (u, v), label in zip(built.graph.edges, built.labeling.labels):
+        steps = [j for a, b in ((u, v), (v, u)) for j in groups[a] if (j + 1) % n in groups[b]]
+        assert len(steps) == 1
+        assert label == cycle_labels[steps[0]]
 
 
 def test_case_plan_requires_k_at_least_two():

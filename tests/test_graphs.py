@@ -132,6 +132,21 @@ def test_merge_plan_validation():
         MergePlan(6, ((0, 1, 2, 3), (4,), (5,)), ("C", "A", "B"))
 
 
+@pytest.mark.parametrize("n,blocks,kinds", [
+    # Overlapping blocks that together cover every vertex.
+    (6, ((0, 2), (2, 4), (1,), (3,), (5,)), ("A", "A", "B", "B", "B")),
+    # A vertex repeated inside one block.
+    (4, ((0, 2, 2), (1, 3)), ("A", "B")),
+    # Vertex -1 must not stand in for vertex n-1.
+    (4, ((0, 2), (-1, 1)), ("A", "B")),
+    # Vertex n is out of range.
+    (4, ((0, 2), (1, 3), (4,)), ("A", "B", "A")),
+])
+def test_merge_plan_rejects_blocks_that_are_not_a_partition(n, blocks, kinds):
+    with pytest.raises(ValueError, match="partition"):
+        MergePlan(n, blocks, kinds)
+
+
 def test_one_point_union_indices():
     g = one_point_union([build_cycle(4), build_cycle(3)], [0, 0])
     assert g.n == 4 + 3 - 1
@@ -256,6 +271,20 @@ def test_isomorphism_with_multiplicities():
     assert mapping is not None
     simple = Graph(3, ((0, 1), (1, 2), (2, 0)))
     assert are_isomorphic(g, simple) is None
+
+
+def test_bfs_on_disconnected_graphs():
+    assert Graph(0, ()).is_connected()
+    assert not Graph(3, ((1, 2),)).is_connected()
+    assert not Graph(3, ((0, 1),)).is_connected()
+    # A triangle and a 4-cycle onto a relabelled copy: the search must
+    # open the second component once the first is mapped.
+    two = Graph(7, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)))
+    perm = [5, 2, 6, 0, 3, 1, 4]
+    h = Graph(7, tuple((perm[u], perm[v]) for u, v in two.edges))
+    mapping = are_isomorphic(two, h)
+    assert verify_vertex_map(two, h, mapping)
+    assert mapping == [2, 5, 6, 0, 3, 1, 4]
 
 
 def test_isomorphism_of_long_circulants_stays_within_the_recursion_limit():
