@@ -19,6 +19,7 @@ import json
 import os
 import signal
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from .graphs import (
@@ -252,14 +253,15 @@ def _cmd_oracle(args) -> int:
             )
             return 0
         result = exact_chi_la(g, budget)
-        _emit(
-            {
-                "chi_la": result.value,
-                "witness": result.witness.labels,
-                "nodes": result.nodes,
-                "seconds": result.seconds,
-            }
-        )
+        report = {
+            "chi_la": result.value,
+            "witness": result.witness.labels,
+            "nodes": result.nodes,
+            "seconds": result.seconds,
+        }
+        if args.stats:
+            report["bounds"] = asdict(result.bounds)
+        _emit(report)
         return 0
     except BudgetExceeded as exc:
         print(str(exc), file=sys.stderr)
@@ -360,6 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="graph JSON (default stdin)")
     p.add_argument("--max-edges", type=int)
     p.add_argument("--colors", type=int, help="test feasibility at this count only")
+    p.add_argument("--stats", action="store_true",
+                   help="add the bounds that settle chi_la and their sources")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("export", help="re-emit a document as json, dot, or matrix text")
@@ -379,6 +383,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("iso --multiplier needs --n, --a and --b")
     if args.command == "iso" and not args.multiplier and {args.first, args.second} <= {None, "-"}:
         parser.error("iso reads at most one of its two documents from stdin")
+    if args.command == "oracle" and args.stats and args.colors is not None:
+        parser.error("oracle --stats reports the exact search, not --colors")
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -13,7 +13,7 @@ vertex, and cycle edge j keeps its label in the cell holding its ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .graphs import (
@@ -157,10 +157,26 @@ def verify_case1_circulant(k: int) -> list[int]:
 @dataclass(frozen=True)
 class EvenOddArrays:
     """Block-recursive arrays of the evens (columns) and odds (rows) of
-    [0, n-1], for n = 2^{2s-1}(t+2)."""
+    [0, n-1], for n = 2^{2s-1}(t+2).  Construction raises unless they hold
+    the evens and the odds of [0, n-1] exactly once each."""
 
     evens: tuple[tuple[int, ...], ...]  # 2^{s-1}(t+2) x 2^{s-1}
     odds: tuple[tuple[int, ...], ...]  # 2^{s-1} x 2^{s-1}(t+2)
+    # index[p] is the row of even p in the even array and the column of
+    # odd p in the odd array.
+    index: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        evens = [(p, x) for x, row in enumerate(self.evens) for p in row]
+        odds = [(p, y) for row in self.odds for y, p in enumerate(row)]
+        n = len(evens) + len(odds)
+        found = sorted(p for p, _ in evens) + sorted(p for p, _ in odds)
+        if found != list(range(0, n, 2)) + list(range(1, n, 2)):
+            raise CertificationError(f"even and odd arrays do not partition [0, {n - 1}]")
+        index = [0] * n
+        for p, cell in evens + odds:
+            index[p] = cell
+        object.__setattr__(self, "index", index)
 
 
 def build_even_odd_arrays(s: int, t: int) -> EvenOddArrays:
@@ -168,15 +184,12 @@ def build_even_odd_arrays(s: int, t: int) -> EvenOddArrays:
     with offsets 2^{2i-2}(2t+4) * {0, 1, 2, 3}."""
     if s < 2 or t < 0:
         raise ValueError("requires s >= 2 and t >= 0")
-    n = 2 ** (2 * s - 1) * (t + 2)
     a = [[p] for p in range(0, 2 * t + 3, 2)]
     b = [list(range(1, 2 * t + 4, 2))]
     for i in range(1, s):
         off = 2 ** (2 * i - 2) * (2 * t + 4)
         a, b = _quartered(a, off), _quartered(b, off)
-    arrays = EvenOddArrays(tuple(map(tuple, a)), tuple(map(tuple, b)))
-    _cell_index(arrays, n)
-    return arrays
+    return EvenOddArrays(tuple(map(tuple, a)), tuple(map(tuple, b)))
 
 
 def _quartered(x: list[list[int]], off: int) -> list[list[int]]:
@@ -184,21 +197,6 @@ def _quartered(x: list[list[int]], off: int) -> list[list[int]]:
     top = [row + [p + 2 * off for p in row] for row in x]
     bottom = [[p + off for p in row] + [p + 3 * off for p in row] for row in x]
     return top + bottom
-
-
-def _cell_index(arrays: EvenOddArrays, n: int) -> list[int]:
-    """index[p] is the row of even p in the even array and the column of
-    odd p in the odd array.  Raises unless the arrays hold the evens and
-    the odds of [0, n-1] exactly once each."""
-    evens = [(p, x) for x, row in enumerate(arrays.evens) for p in row]
-    odds = [(p, y) for row in arrays.odds for y, p in enumerate(row)]
-    found = sorted(p for p, _ in evens) + sorted(p for p, _ in odds)
-    if found != list(range(0, n, 2)) + list(range(1, n, 2)):
-        raise CertificationError(f"even and odd arrays do not partition [0, {n - 1}]")
-    index = [0] * n
-    for p, cell in evens + odds:
-        index[p] = cell
-    return index
 
 
 def construction_steps(s: int, t: int) -> tuple[int, ...]:
@@ -279,7 +277,7 @@ def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
     arrays = build_even_odd_arrays(s, t)
     n = 2 ** (2 * s - 1) * (t + 2)
     size = 2 ** (s - 1) * (t + 2)
-    index = _cell_index(arrays, n)
+    index = arrays.index
     labels: list[list[Optional[int]]] = [[None] * size for _ in range(size)]
     for j, label in enumerate(c_labeling(n).labels):
         even, odd = (j, j + 1) if j % 2 == 0 else ((j + 1) % n, j)

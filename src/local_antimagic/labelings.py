@@ -78,9 +78,13 @@ def induced_coloring(g: Graph, f: EdgeLabeling) -> InducedColoring:
 def certify(what: str, g: Graph, f: EdgeLabeling,
             expected: Optional[frozenset[int]] = None) -> InducedColoring:
     """The induced coloring of the construction ``what``, checked: raises
-    CertificationError when two adjacent vertices share a sum or, given
-    ``expected``, when the distinct sums differ from it."""
-    coloring = induced_coloring(g, f)
+    CertificationError when the labels are not a bijection onto 1..q, when
+    two adjacent vertices share a sum or, given ``expected``, when the
+    distinct sums differ from it."""
+    try:
+        coloring = induced_coloring(g, f)
+    except ValueError as exc:
+        raise CertificationError(f"{what}: {exc}") from None
     if coloring.conflicts:
         u, v = coloring.conflicts[0]
         raise CertificationError(

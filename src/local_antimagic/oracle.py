@@ -1,27 +1,28 @@
-"""Exact minimum color count by exhaustive labeling search.
+"""Exact minimum color count: bounds first, then exhaustive labeling search.
 
 Intended for cross-checking the constructive labelings on small graphs.
-The search assigns labels edge by edge in a vertex-clustering order,
+``exact_chi_la`` checks a hard edge budget first (raise it explicitly, or
+via the ANTIMAGIC_BUDGET_EDGES environment variable, when you mean it),
+then the lower bounds, then a construction's upper bound (the cycle
+labeling, or the paper's result (ii) on even-order circulants), and
+searches only where the bounds do not meet; ``nodes`` is 0 where they
+do.  The search assigns labels edge by edge in a vertex-clustering order,
 prunes on adjacent completed-sum ties, and bounds by the number of
-distinct sums already frozen.  It starts from two lower bounds: the
-chromatic number (χ ≤ χ_la, Arumugam et al. 2017) and, on a connected
-graph, 3 when the paper's necessary conditions for two sums fail
-(``check_two_color_necessary``).  Every connected graph except K_2 has a
-local antimagic labeling (Haslegrave 2018), so on those it ends with a
-witness.  A hard edge budget keeps accidental huge inputs from hanging;
-raise it explicitly (or via the ANTIMAGIC_BUDGET_EDGES environment
-variable) when you mean it.
+distinct sums already frozen.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, first_coloring
-from .labelings import EdgeLabeling, check_two_color_necessary
+from .circulants import c_labeling, c_labeling_sums, circulant_colors, circulant_labeling
+from .graphs import CirculantSpec, Graph, are_isomorphic, build_circulant, first_coloring
+from .labelings import EdgeLabeling, certify, check_two_color_necessary
 
 
 DEFAULT_MAX_EDGES = 10
@@ -49,11 +50,23 @@ class SearchBudget:
 
 
 @dataclass(frozen=True)
+class Bounds:
+    """Why χ_la lies where it does: the proven lower bound and the upper
+    bound that met it, each with its source."""
+
+    lower: int
+    lower_source: str  # "chromatic number" or "two-sum conditions"
+    upper: int
+    upper_source: str  # "search witness" or the construction, e.g. "cycle labeling C_5"
+
+
+@dataclass(frozen=True)
 class OracleResult:
     value: int
     witness: EdgeLabeling
     nodes: int
     seconds: float
+    bounds: Bounds
 
 
 def chromatic_number(g: Graph) -> int:
@@ -76,6 +89,50 @@ def _two_sums_refuted(g: Graph) -> bool:
         and g.is_connected()
         and not check_two_color_necessary(g).two_colors_possible
     )
+
+
+def _construction(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
+    """The library's 3-sum labeling of g and its source, when g is a cycle
+    or an even-order circulant C_n(1, S) with odd steps; else None.
+
+    The construction is matched by isomorphism and its labels are carried
+    through the vertex map onto g's edges, then certified.  Step 1 loses
+    no generality: multiplying by the inverse of any step maps a circulant
+    onto an isomorphic one that has step 1.
+    """
+    n = g.n
+    if n < 3 or not (g.is_regular() and g.is_simple() and g.is_connected()):
+        return None
+    d = g.degrees[0]
+    if d == 2:
+        choices = [()]
+    elif n % 2 == 0 and d % 2 == 0:
+        odd = [a for a in range(3, n // 2, 2) if math.gcd(a, n) == 1]
+        choices = combinations(odd, d // 2 - 1)
+    else:
+        return None
+    for rest in choices:
+        spec = CirculantSpec(n, (1, *rest))
+        built = build_circulant(spec)  # C_n(1) is build_cycle(n), edge for edge
+        mapping = are_isomorphic(built, g)
+        if mapping is not None:
+            break
+    else:
+        return None
+    if d == 2:
+        labeling, sums = c_labeling(n), frozenset(c_labeling_sums(n))
+        source = f"cycle labeling C_{n}"
+    else:
+        labeling, sums = circulant_labeling(spec)[1], circulant_colors(n // 2, len(rest))
+        source = f"circulant labeling C_{n}{spec.steps}"
+    position = {(min(u, v), max(u, v)): i for i, (u, v) in enumerate(g.edges)}
+    labels = [0] * g.q
+    for (u, v), x in zip(built.edges, labeling.labels):
+        a, b = mapping[u], mapping[v]
+        labels[position[min(a, b), max(a, b)]] = x
+    carried = EdgeLabeling(tuple(labels))
+    certify(f"{source} carried onto the input", g, carried, sums)
+    return carried, source
 
 
 def _edge_order(g: Graph) -> list[int]:
@@ -202,37 +259,52 @@ def feasible_with_colors(
     g: Graph, k: int, budget: Optional[SearchBudget] = None
 ) -> Optional[EdgeLabeling]:
     """A local antimagic labeling of g with at most k distinct sums, or
-    None after an exhaustive search finds none.  For k <= 2 on a
-    connected graph that fails the two-sum conditions, None comes without
-    a search."""
+    None after an exhaustive search finds none.  Neither answer needs a
+    search when the bounds settle it: None for k <= 2 on a connected graph
+    that fails the two-sum conditions, and for k >= 3 on a cycle or an
+    even-order circulant with odd steps, the library's certified 3-sum
+    labeling."""
     search = _Search(g, budget or SearchBudget())
     if k <= 2 and _two_sums_refuted(g):
         return None
+    built = _construction(g) if k >= 3 else None
+    if built is not None:
+        return built[0]
     found = search.run(k)
     return EdgeLabeling(tuple(found)) if found is not None else None
 
 
 def exact_chi_la(g: Graph, budget: Optional[SearchBudget] = None) -> OracleResult:
     """Exact minimum number of induced sums over all local antimagic
-    labelings, with a witness labeling.
+    labelings, with a witness labeling and the bounds that settle it.
 
-    Starts at the larger of two lower bounds and increases until a
-    witness exists.  One is the chromatic number, since adjacent vertices
-    need distinct sums (χ ≤ χ_la, Arumugam et al. 2017); the other is 3
-    on a connected graph that fails the two-sum conditions of
-    ``check_two_color_necessary``.  Raises ValueError if no labeling
-    exists at all, which among connected graphs happens only for K_2
-    (Haslegrave 2018).  The edge budget is checked before any work.
+    The edge budget is checked before any work.  The lower bound is the
+    larger of two: the chromatic number, since adjacent vertices need
+    distinct sums (χ ≤ χ_la, Arumugam et al. 2017), and 3 on a connected
+    graph that fails the two-sum conditions of
+    ``check_two_color_necessary``.  When it is 3 and the graph is a cycle
+    or an even-order circulant with odd steps, the library's certified
+    3-sum labeling meets it (the cycle labeling, and the paper's result
+    (ii)): no search runs and ``nodes`` is 0.  Otherwise the search starts
+    at the lower bound and increases k until a witness exists.  Raises
+    ValueError if no labeling exists at all, which among connected graphs
+    happens only for K_2 (Haslegrave 2018).
     """
     start = time.perf_counter()
     search = _Search(g, budget or SearchBudget())
-    lower = chromatic_number(g)
+    lower, lower_source = chromatic_number(g), "chromatic number"
     if lower < 3 and _two_sums_refuted(g):
-        lower = 3
+        lower, lower_source = 3, "two-sum conditions"
+    built = _construction(g) if lower == 3 else None
+    if built is not None:
+        witness, source = built
+        return OracleResult(3, witness, 0, time.perf_counter() - start,
+                            Bounds(3, lower_source, 3, source))
     for k in range(lower, g.n + 1):
         found = search.run(k)
         if found is not None:
             return OracleResult(
-                k, EdgeLabeling(tuple(found)), search.nodes, time.perf_counter() - start
+                k, EdgeLabeling(tuple(found)), search.nodes, time.perf_counter() - start,
+                Bounds(lower, lower_source, k, "search witness"),
             )
     raise ValueError("graph admits no local antimagic labeling")

@@ -23,7 +23,7 @@ from .graphs import (
     merge_vertices,
     one_point_union,
 )
-from .labelings import EdgeLabeling, certify
+from .labelings import EdgeLabeling, certify, validate_labeling
 
 
 @dataclass(frozen=True)
@@ -249,6 +249,9 @@ def transform_union(
 
     graph = one_point_union(graphs, [0] * len(graphs))
     new_labeling = EdgeLabeling(tuple(labels))
+    # Every cycle is consumed once, so these are the input's labels in a
+    # new order: a failure here is an input error, not a certification bug.
+    validate_labeling(graph, new_labeling)
     coloring = certify(f"transformed union of {spec.orders}", graph, new_labeling)
     return UnionTransformResult(
         graph, new_labeling, coloring.colors, coloring.sums[0]

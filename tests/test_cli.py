@@ -21,6 +21,8 @@ from local_antimagic.serialize import (
     write_json,
 )
 import local_antimagic.circulants as circulants
+import local_antimagic.cycle_merge as cycle_merge
+import local_antimagic.oracle as oracle
 from local_antimagic import (
     EdgeLabeling,
     UnionSpec,
@@ -156,6 +158,21 @@ def test_oracle_command(capsys, monkeypatch):
     assert json.loads(out)["chi_la"] == 3
 
 
+def test_oracle_stats_add_the_bounds(capsys, monkeypatch):
+    code, built = run_cli(capsys, monkeypatch, ["build", "cycle", "--m", "6"])
+    code, out = run_cli(capsys, monkeypatch, ["oracle", "chi-la"], stdin=built)
+    assert code == 0 and list(json.loads(out)) == ["chi_la", "witness", "nodes", "seconds"]
+    code, out = run_cli(capsys, monkeypatch, ["oracle", "chi-la", "--stats"], stdin=built)
+    report = json.loads(out)
+    assert code == 0 and (report["chi_la"], report["nodes"]) == (3, 0)
+    assert report["bounds"] == {"lower": 3, "lower_source": "two-sum conditions",
+                                "upper": 3, "upper_source": "cycle labeling C_6"}
+    monkeypatch.setattr("sys.stdin", io.StringIO(built))
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "chi-la", "--stats", "--colors", "3"])
+    assert err.value.code == 2
+
+
 def test_oracle_budget_exit(capsys, monkeypatch):
     code, built = run_cli(capsys, monkeypatch, ["build", "cycle", "--m", "16"])
     code, _ = run_cli(
@@ -263,6 +280,54 @@ def test_certification_failure_exits_3_under_optimize():
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("certification failed: combined labeling of")
+
+
+@pytest.mark.parametrize(
+    "module,args,stdin",
+    [
+        (cycle_merge, ["transform", "matrix", "--s", "2", "--t", "0"], None),
+        (oracle, ["oracle", "chi-la"], document(build_cycle(7))),
+    ],
+    ids=["matrix", "oracle"],
+)
+@pytest.mark.parametrize(
+    "labeling",
+    [lambda m: EdgeLabeling((1, 1, *range(3, m + 1))), lambda m: EdgeLabeling(range(1, m + 1))],
+    ids=["repeated-label", "wrong-sums"],
+)
+def test_broken_cycle_labeling_exits_3(capsys, monkeypatch, module, args, stdin, labeling):
+    monkeypatch.setattr(module, "c_labeling", labeling)
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin)))
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith("certification failed: ")
+
+
+def test_oracle_certifies_its_construction_under_optimize():
+    code = (
+        "import local_antimagic.oracle as oracle\n"
+        "from local_antimagic import EdgeLabeling\n"
+        "oracle.c_labeling = lambda m: EdgeLabeling((1, 1, *range(3, m + 1)))\n"
+        "from local_antimagic.cli import main\n"
+        "raise SystemExit(main(['oracle', 'chi-la']))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        input=json.dumps(document(build_cycle(7))), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(
+        "certification failed: cycle labeling C_7 carried onto the input: "
+        "labeling must be a bijection onto 1..7")
+
+
+def test_union_input_with_a_repeated_label_exits_2(capsys, monkeypatch):
+    doc = document(union_graph(UnionSpec((3, 3))), EdgeLabeling((1, 1, 3, 4, 5, 6)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    directives = '[{"keep":0},{"keep":1}]'
+    assert main(["transform", "union", "--orders", "3,3", "--directives", directives]) == 2
+    assert capsys.readouterr().err.startswith("error: labeling must be a bijection onto 1..6")
 
 
 # Any integer or float, with vertex counts such as 1e12 that no document

@@ -260,6 +260,23 @@ def test_construction_matrix_rejects_broken_arrays_under_optimize():
     assert "do not partition" in proc.stdout, proc.stdout + proc.stderr
 
 
+def test_partition_is_checked_once_per_matrix_build(monkeypatch):
+    checks = []
+    check = cycle_merge.EvenOddArrays.__post_init__
+    monkeypatch.setattr(cycle_merge.EvenOddArrays, "__post_init__",
+                        lambda arrays: checks.append(check(arrays)))
+    build_construction_matrix(3, 2)
+    assert len(checks) == 1
+
+
+def test_even_odd_arrays_reject_a_broken_partition():
+    arrays = build_even_odd_arrays(2, 0)
+    assert arrays.index[:4] == [0, 0, 1, 1]
+    odds = ((5,) + arrays.odds[0][1:],) + arrays.odds[1:]  # 5 twice, 1 missing
+    with pytest.raises(CertificationError, match=r"do not partition \[0, 15\]"):
+        cycle_merge.EvenOddArrays(arrays.evens, odds)
+
+
 def test_construction_render_layout():
     text = build_construction_matrix(2, 0).render()
     lines = text.splitlines()

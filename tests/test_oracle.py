@@ -5,9 +5,11 @@ import pytest
 
 from local_antimagic import (
     BudgetExceeded,
+    CirculantSpec,
     EdgeLabeling,
     Graph,
     SearchBudget,
+    build_circulant,
     build_cycle,
     check_two_color_necessary,
     chromatic_number,
@@ -17,7 +19,8 @@ from local_antimagic import (
     induced_coloring,
     is_local_antimagic,
 )
-from local_antimagic.oracle import BUDGET_ENV, _Search
+from local_antimagic.labelings import certify
+from local_antimagic.oracle import BUDGET_ENV, Bounds, _construction, _Search
 from local_antimagic.reproduce import counterexample_graph
 
 from conftest import random_connected_graph
@@ -106,7 +109,7 @@ def test_budget_env_override(monkeypatch):
 
 def test_node_limit():
     with pytest.raises(BudgetExceeded, match="node limit") as info:
-        exact_chi_la(build_cycle(9), SearchBudget(node_limit=5))
+        exact_chi_la(complete_bipartite(3, 3), SearchBudget(node_limit=5))
     assert info.value.nodes == 6
 
 
@@ -189,9 +192,10 @@ def test_k44_has_no_two_sum_labeling():
 
 
 def test_witnesses_and_node_counts_are_pinned():
-    result = exact_chi_la(build_cycle(13), SearchBudget(max_edges=13))
-    assert result.witness.labels == (1, 13, 2, 12, 3, 11, 4, 10, 5, 9, 6, 8, 7)
-    assert result.nodes == 17938
+    search = _Search(build_cycle(13), SearchBudget(max_edges=13))
+    assert search.run(3) == [1, 13, 2, 12, 3, 11, 4, 10, 5, 9, 6, 8, 7]
+    assert search.nodes == 17938
+    assert exact_chi_la(build_cycle(13), SearchBudget(max_edges=13)).nodes == 0
     search = _Search(complete_bipartite(4, 4), SearchBudget(max_edges=16))
     found = search.run(3)
     assert found == [1, 2, 3, 4, 15, 14, 8, 5, 12, 11, 10, 9, 6, 7, 13, 16]
@@ -203,3 +207,80 @@ def test_regular_symmetry_does_not_lose_optima():
     # values must still match plain enumeration.
     for m in (4, 5, 6):
         assert exact_chi_la(build_cycle(m)).value == brute_force_chi_la(build_cycle(m))
+
+
+def connected_atlas_graphs() -> list[Graph]:
+    """Every connected graph of the networkx atlas (up to 7 vertices)
+    with at least 3 vertices and at most 8 edges."""
+    nx = pytest.importorskip("networkx")
+    return [
+        Graph(h.number_of_nodes(), tuple(h.edges()))
+        for h in nx.graph_atlas_g()
+        if h.number_of_nodes() >= 3 and h.number_of_edges() <= 8 and nx.is_connected(h)
+    ]
+
+
+def test_bounds_agree_with_raw_search_on_an_atlas_sample():
+    graphs = connected_atlas_graphs()
+    # Every cycle in range takes the construction path; the seeded sample
+    # covers the rest of the atlas.
+    cycles = [g for g in graphs if set(g.degrees) == {2}]
+    assert len(cycles) == 5
+    for g in cycles + random.Random(20201004).sample(graphs, 36):
+        k = chromatic_number(g)
+        search = _Search(g, SearchBudget())
+        while (found := search.run(k)) is None:
+            k += 1
+        assert not induced_coloring(g, EdgeLabeling(found)).conflicts
+        result = exact_chi_la(g)
+        assert result.value == k, g.edges
+        coloring = induced_coloring(g, result.witness)
+        assert not coloring.conflicts and len(coloring.colors) == k
+        assert result.bounds.lower <= k == result.bounds.upper
+        assert (result.nodes == 0) == (result.bounds.upper_source != "search witness")
+
+
+def shuffled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertices renamed and its edges reordered at random."""
+    names = list(range(g.n))
+    rng.shuffle(names)
+    edges = [(names[u], names[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return Graph(g.n, tuple(edges))
+
+
+@pytest.mark.parametrize(
+    "g,source",
+    [
+        (shuffled(build_circulant(CirculantSpec(10, (1, 3))), random.Random(8)),
+         "circulant labeling C_10(1, 3)"),
+        (complete_bipartite(4, 4), "circulant labeling C_8(1, 3)"),
+        (shuffled(build_cycle(9), random.Random(9)), "cycle labeling C_9"),
+    ],
+    ids=["C10_1_3-shuffled", "K44", "C9-shuffled"],
+)
+def test_constructions_settle_without_search(g, source):
+    # node_limit=0 makes any search raise on its first node.
+    budget = SearchBudget(max_edges=g.q, node_limit=0)
+    result = exact_chi_la(g, budget)
+    assert (result.value, result.nodes) == (3, 0)
+    lower = "chromatic number" if g.n % 2 else "two-sum conditions"
+    assert result.bounds == Bounds(3, lower, 3, source)
+    assert len(certify("carried witness", g, result.witness).colors) == 3
+    assert feasible_with_colors(g, 3, budget) == result.witness
+    assert feasible_with_colors(g, 5, budget) == result.witness
+    assert feasible_with_colors(g, 2, budget) is None
+
+
+def test_other_graphs_are_searched_or_refused_as_before():
+    triangles = Graph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
+    double_edge = Graph(2, ((0, 1), (0, 1)))
+    for g in (double_edge, triangles, complete_bipartite(3, 3), counterexample_graph()):
+        assert _construction(g) is None
+    with pytest.raises(ValueError, match="no local antimagic"):
+        exact_chi_la(double_edge)
+    for g in (triangles, complete_bipartite(3, 3), counterexample_graph()):
+        result = exact_chi_la(g)
+        assert result.nodes > 0 and result.bounds.upper_source == "search witness"
+        with pytest.raises(BudgetExceeded):
+            feasible_with_colors(g, 3, SearchBudget(node_limit=0))
