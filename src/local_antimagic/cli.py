@@ -261,6 +261,7 @@ def _cmd_oracle(args) -> int:
         }
         if args.stats:
             report["bounds"] = asdict(result.bounds)
+            report["searches"] = [run._asdict() for run in result.searches]
         _emit(report)
         return 0
     except BudgetExceeded as exc:
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edges", type=int)
     p.add_argument("--colors", type=int, help="test feasibility at this count only")
     p.add_argument("--stats", action="store_true",
-                   help="add the bounds that settle chi_la and their sources")
+                   help="add the bounds that settle chi_la and each k searched")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("export", help="re-emit a document as json, dot, or matrix text")

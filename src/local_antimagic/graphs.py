@@ -10,7 +10,7 @@ never allowed; parallel edges are.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
@@ -85,11 +85,11 @@ class Graph:
     @cached_property
     def adjacency(self) -> tuple[dict[int, int], ...]:
         """Per-vertex map neighbor -> edge multiplicity."""
-        adj: list[Counter] = [Counter() for _ in range(self.n)]
+        adj: list[dict[int, int]] = [{} for _ in range(self.n)]
         for u, v in self.edges:
-            adj[u][v] += 1
-            adj[v][u] += 1
-        return tuple(dict(c) for c in adj)
+            adj[u][v] = adj[u].get(v, 0) + 1
+            adj[v][u] = adj[v].get(u, 0) + 1
+        return tuple(adj)
 
     def neighbors(self, v: int) -> set[int]:
         return set(self.adjacency[v])
@@ -492,7 +492,7 @@ def verify_vertex_map(g1: Graph, g2: Graph, mapping: list[int]) -> bool:
     """True iff ``mapping`` is a bijection with equal edge multisets."""
     if sorted(mapping) != list(range(g2.n)):
         return False
-    mapped = Graph(g2.n, [(mapping[u], mapping[v]) for u, v in g1.edges])
+    mapped = Graph(g2.n, tuple([(mapping[u], mapping[v]) for u, v in g1.edges]))
     return sorted_edge_keys(mapped) == sorted_edge_keys(g2)
 
 

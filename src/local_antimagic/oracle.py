@@ -6,9 +6,9 @@ via the ANTIMAGIC_BUDGET_EDGES environment variable, when you mean it),
 then the lower bounds, then a construction's upper bound (the cycle
 labeling, or the paper's result (ii) on even-order circulants), and
 searches only where the bounds do not meet; ``nodes`` is 0 where they
-do.  The search assigns labels edge by edge in a vertex-clustering order,
-prunes on adjacent completed-sum ties, and bounds by the number of
-distinct sums already frozen.
+do.  The search is one iterative loop, so its depth has no recursion
+limit.  It labels edge by edge in a vertex-clustering order, prunes on
+adjacent completed-sum ties, and bounds by the distinct sums frozen.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .circulants import c_labeling, c_labeling_sums, circulant_colors, circulant_labeling
 from .graphs import CirculantSpec, Graph, are_isomorphic, build_circulant, first_coloring
@@ -60,6 +61,10 @@ class Bounds:
     upper_source: str  # "search witness" or the construction, e.g. "cycle labeling C_5"
 
 
+# One exhaustive search: the color count k, its nodes and its seconds.
+SearchRun = NamedTuple("SearchRun", [("k", int), ("nodes", int), ("seconds", float)])
+
+
 @dataclass(frozen=True)
 class OracleResult:
     value: int
@@ -67,6 +72,7 @@ class OracleResult:
     nodes: int
     seconds: float
     bounds: Bounds
+    searches: tuple[SearchRun, ...] = ()
 
 
 def chromatic_number(g: Graph) -> int:
@@ -135,31 +141,10 @@ def _construction(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
     return carried, source
 
 
-def _edge_order(g: Graph) -> list[int]:
-    """Order edges so each vertex's incident edges appear close together,
-    which completes vertex sums early and sharpens pruning."""
-    seen_edge = [False] * g.q
-    seen_vertex = [False] * g.n
-    order: list[int] = []
-    for start in sorted(range(g.n), key=lambda v: -g.degrees[v]):
-        if seen_vertex[start]:
-            continue
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if seen_vertex[v]:
-                continue
-            seen_vertex[v] = True
-            for i in g.incident[v]:
-                if not seen_edge[i]:
-                    seen_edge[i] = True
-                    order.append(i)
-                    u, w = g.edges[i]
-                    stack.append(w if u == v else u)
-    return order
-
-
 class _Search:
+    """One loop over per-depth state, so its depth has no recursion limit;
+    depth i labels edge ``order[i]``.  Nothing is built before a run."""
+
     def __init__(self, g: Graph, budget: SearchBudget):
         if g.q > budget.max_edges:
             raise BudgetExceeded(
@@ -168,91 +153,104 @@ class _Search:
             )
         self.g = g
         self.budget = budget
-        self.order = _edge_order(g)
         self.nodes = 0
+        self.runs: list[SearchRun] = []
+
+    @cached_property
+    def order(self) -> list[int]:
+        """Edges in depth-first order from each vertex by falling degree, so
+        a vertex's edges come close together and its sum completes early."""
+        g = self.g
+        seen = [False] * g.q
+        order: list[int] = []
+        stack = sorted(range(g.n), key=lambda v: -g.degrees[v])[::-1]
+        while stack:
+            v = stack.pop()  # a second visit finds every incident edge seen
+            for i in g.incident[v]:
+                if not seen[i]:
+                    seen[i] = True
+                    order.append(i)
+                    u, w = g.edges[i]
+                    stack.append(w if u == v else u)
+        return order
+
+    @cached_property
+    def depths(self) -> list[tuple]:
+        """Per depth: the edge's ends, its largest label, and each end whose
+        sum completes there with its neighbours complete by then; then a
+        sentinel, so the loop may read one depth past the last."""
+        g = self.g
+        done_at = {w: i for i, e in enumerate(self.order) for w in g.edges[e]}
+        # The complement q+1-f of a labeling of a regular graph induces the
+        # mirrored sums, so there the first label takes only the lower half.
+        first = (g.q + 1) // 2 if g.is_regular() else g.q
+        depths = []
+        for i, e in enumerate(self.order):
+            checks = tuple((w, tuple(x for x in g.adjacency[w] if done_at[x] <= i))
+                           for w in g.edges[e] if done_at[w] == i)
+            depths.append((*g.edges[e], first if i == 0 else g.q, checks))
+        return depths + [(0, 0, 0, ())]
 
     def run(self, max_colors: int) -> Optional[list[int]]:
         """First labeling found with at most max_colors distinct sums.  The
-        node and time limits apply to each run; ``self.nodes`` adds up the
-        nodes of every run."""
-        g = self.g
-        self.sums = [0] * g.n
-        self.remaining = list(g.degrees)
-        self.labels = [0] * g.q
-        self.free = [True] * (g.q + 1)
-        self.run_nodes = 0
-        self.start = time.perf_counter()
-        # Sums of completed vertices, with multiplicity, for the bound.
-        self.frozen = {0: g.degrees.count(0)} if 0 in g.degrees else {}
-        return self._extend(0, max_colors)
-
-    def _tick(self):
-        self.nodes += 1
-        self.run_nodes += 1
-        b = self.budget
-        if b.node_limit is not None and self.run_nodes > b.node_limit:
-            raise BudgetExceeded(f"node limit {b.node_limit} exceeded", self.nodes)
-        if (
-            b.time_limit is not None
-            and self.run_nodes % 1024 == 0
-            and time.perf_counter() - self.start > b.time_limit
-        ):
-            raise BudgetExceeded(f"time limit {b.time_limit}s exceeded", self.nodes)
-
-    def _extend(self, i: int, max_colors: int) -> Optional[list[int]]:
-        g = self.g
-        if i == g.q:
-            return list(self.labels)
-        e = self.order[i]
-        u, v = g.edges[e]
-        q = g.q
-        # The complement q+1-f of a labeling of a regular graph induces the
-        # mirrored sums, so on regular graphs the first label can be
-        # restricted to the lower half.
-        top = (q + 1) // 2 if i == 0 and g.is_regular() else q
-        for label in range(1, top + 1):
-            if not self.free[label]:
+        limits apply per run; ``nodes`` and ``runs`` add up every run."""
+        g, b, depths, q = self.g, self.budget, self.depths, self.g.q
+        start = time.perf_counter()
+        sums = [0] * g.n
+        free = [True] * (q + 1)
+        picked = [0] * q
+        # Completed vertices per sum; the sums in use count 0 if one is isolated.
+        frozen = [0] * (max(g.degrees, default=0) * q + 1)
+        distinct = int(0 in g.degrees)
+        cap = 1 << 62 if b.node_limit is None else b.node_limit + 1
+        alarm = cap if b.time_limit is None else min(cap, 1024)
+        nodes = i = label = 0
+        u, v, top, checks = depths[0]
+        while 0 <= i < q:
+            if label:  # take back depth i's label before trying the next
+                for w, _ in checks:
+                    s = sums[w]
+                    frozen[s] -= 1
+                    distinct -= not frozen[s]
+                free[label] = True
+                sums[u] -= label
+                sums[v] -= label
+            label += 1
+            while label <= top and not free[label]:
+                label += 1
+            if label > top:
+                i -= 1
+                label = picked[i]
+                u, v, top, checks = depths[i]
                 continue
-            self._tick()
-            self.labels[e] = label
-            self.free[label] = False
-            self.sums[u] += label
-            self.sums[v] += label
-            self.remaining[u] -= 1
-            self.remaining[v] -= 1
-            if self._consistent(u, v, max_colors):
-                found = self._extend(i + 1, max_colors)
-                if found is not None:
-                    self._undo(e, label, u, v)
-                    return found
-            self._undo(e, label, u, v)
-        return None
-
-    def _undo(self, e: int, label: int, u: int, v: int):
-        for w in (u, v):
-            if self.remaining[w] == 0:
-                count = self.frozen[self.sums[w]]
-                if count == 1:
-                    del self.frozen[self.sums[w]]
-                else:
-                    self.frozen[self.sums[w]] = count - 1
-        self.labels[e] = 0
-        self.free[label] = True
-        self.sums[u] -= label
-        self.sums[v] -= label
-        self.remaining[u] += 1
-        self.remaining[v] += 1
-
-    def _consistent(self, u: int, v: int, max_colors: int) -> bool:
-        ok = True
-        for w in (u, v):
-            if self.remaining[w] == 0:
-                s = self.sums[w]
-                for x in self.g.adjacency[w]:
-                    if self.remaining[x] == 0 and self.sums[x] == s:
+            nodes += 1
+            if nodes >= alarm:  # past the node limit, or a time check is due
+                if nodes >= cap:
+                    self.nodes += nodes
+                    raise BudgetExceeded(f"node limit {b.node_limit} exceeded", self.nodes)
+                if time.perf_counter() - start > b.time_limit:
+                    self.nodes += nodes
+                    raise BudgetExceeded(f"time limit {b.time_limit}s exceeded", self.nodes)
+                alarm = min(cap, nodes + 1024)
+            free[label] = False
+            sums[u] += label
+            sums[v] += label
+            ok = True
+            for w, complete in checks:
+                s = sums[w]
+                for x in complete:
+                    if sums[x] == s:
                         ok = False
-                self.frozen[s] = self.frozen.get(s, 0) + 1
-        return ok and len(self.frozen) <= max_colors
+                distinct += not frozen[s]
+                frozen[s] += 1
+            if ok and distinct <= max_colors:
+                picked[i] = label
+                i += 1
+                label = 0
+                u, v, top, checks = depths[i]
+        self.nodes += nodes
+        self.runs.append(SearchRun(max_colors, nodes, time.perf_counter() - start))
+        return [x for _, x in sorted(zip(self.order, picked))] if i == q else None
 
 
 def feasible_with_colors(
@@ -305,6 +303,6 @@ def exact_chi_la(g: Graph, budget: Optional[SearchBudget] = None) -> OracleResul
         if found is not None:
             return OracleResult(
                 k, EdgeLabeling(tuple(found)), search.nodes, time.perf_counter() - start,
-                Bounds(lower, lower_source, k, "search witness"),
+                Bounds(lower, lower_source, k, "search witness"), tuple(search.runs),
             )
     raise ValueError("graph admits no local antimagic labeling")

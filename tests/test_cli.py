@@ -25,6 +25,7 @@ import local_antimagic.cycle_merge as cycle_merge
 import local_antimagic.oracle as oracle
 from local_antimagic import (
     EdgeLabeling,
+    Graph,
     UnionSpec,
     build_cycle,
     c_labeling,
@@ -167,10 +168,31 @@ def test_oracle_stats_add_the_bounds(capsys, monkeypatch):
     assert code == 0 and (report["chi_la"], report["nodes"]) == (3, 0)
     assert report["bounds"] == {"lower": 3, "lower_source": "two-sum conditions",
                                 "upper": 3, "upper_source": "cycle labeling C_6"}
+    assert report["searches"] == []
     monkeypatch.setattr("sys.stdin", io.StringIO(built))
     with pytest.raises(SystemExit) as err:
         main(["oracle", "chi-la", "--stats", "--colors", "3"])
     assert err.value.code == 2
+
+
+def test_oracle_stats_list_each_k_searched(capsys, monkeypatch):
+    # chi_la = 5 and the lower bound is 3, so k = 3, 4, 5 are searched.
+    star = json.dumps(document(Graph(6, ((0, 4), (1, 4), (2, 4), (3, 5), (4, 5)))))
+    code, out = run_cli(capsys, monkeypatch, ["oracle", "chi-la", "--stats"], stdin=star)
+    report = json.loads(out)
+    assert code == 0 and report["chi_la"] == 5
+    assert [run["k"] for run in report["searches"]] == [3, 4, 5]
+    assert report["searches"][0]["nodes"] == 205
+    assert sum(run["nodes"] for run in report["searches"]) == report["nodes"]
+    assert all(0 <= run["seconds"] <= report["seconds"] for run in report["searches"])
+
+
+def test_oracle_search_deeper_than_the_recursion_limit(capsys, monkeypatch):
+    path = json.dumps(document(Graph(1501, tuple((v, v + 1) for v in range(1500)))))
+    monkeypatch.setenv(oracle.BUDGET_ENV, "2000")
+    code, out = run_cli(capsys, monkeypatch, ["oracle", "chi-la", "--colors", "1501"],
+                        stdin=path)
+    assert code == 0 and json.loads(out)["feasible"]
 
 
 def test_oracle_budget_exit(capsys, monkeypatch):

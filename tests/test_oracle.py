@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations
 
@@ -23,7 +24,7 @@ from local_antimagic.labelings import certify
 from local_antimagic.oracle import BUDGET_ENV, Bounds, _construction, _Search
 from local_antimagic.reproduce import counterexample_graph
 
-from conftest import random_connected_graph
+from conftest import DATA, random_connected_graph
 
 
 def brute_force_chi_la(g: Graph) -> int | None:
@@ -137,6 +138,14 @@ def test_oversized_cycle_hits_the_budget_not_the_recursion_limit():
     assert chromatic_number(build_cycle(2000)) == 2
 
 
+def test_search_deeper_than_the_recursion_limit():
+    path = Graph(1501, tuple((v, v + 1) for v in range(1500)))
+    search = _Search(path, SearchBudget(max_edges=2000))
+    found = search.run(1501)
+    assert search.nodes == 1500
+    assert not induced_coloring(path, EdgeLabeling(tuple(found))).conflicts
+
+
 def random_connected_multigraph(rng: random.Random, q: int) -> Graph:
     """A random spanning tree on at most q+1 vertices, plus random extra
     edges that may run parallel to earlier ones."""
@@ -200,6 +209,19 @@ def test_witnesses_and_node_counts_are_pinned():
     found = search.run(3)
     assert found == [1, 2, 3, 4, 15, 14, 8, 5, 12, 11, 10, 9, 6, 7, 13, 16]
     assert search.nodes == 988637
+
+
+def test_search_order_is_pinned_on_random_multigraphs():
+    # The file records (witness, nodes) of run(k), k = 1..4, on these 150
+    # seeded multigraphs with q <= 8, parallel edges included.
+    rng = random.Random(20201009)
+    for pin in json.loads((DATA / "search_pins.json").read_text()):
+        g = random_connected_multigraph(rng, rng.randrange(1, 9))
+        assert (g.n, [list(e) for e in g.edges]) == (pin["n"], pin["edges"])
+        search = _Search(g, SearchBudget(max_edges=20))
+        for k, witness, nodes in pin["runs"]:
+            before = search.nodes
+            assert (search.run(k), search.nodes - before) == (witness, nodes), (g.edges, k)
 
 
 def test_regular_symmetry_does_not_lose_optima():
