@@ -1,14 +1,15 @@
 """Exact minimum color count: bounds first, then exhaustive labeling search.
 
 Intended for cross-checking the constructive labelings on small graphs.
-``exact_chi_la`` checks a hard edge budget first (raise it explicitly, or
-via the ANTIMAGIC_BUDGET_EDGES environment variable, when you mean it),
-then the lower bounds, then a construction's upper bound (the cycle
-labeling, or the paper's result (ii) on even-order circulants), and
-searches only where the bounds do not meet; ``nodes`` is 0 where they
-do.  The search is one iterative loop, so its depth has no recursion
-limit.  It labels edge by edge in a vertex-clustering order, prunes on
-adjacent completed-sum ties, and bounds by the distinct sums frozen.
+``exact_chi_la`` checks a hard edge budget (raise it explicitly, or via
+the ANTIMAGIC_BUDGET_EDGES environment variable, when you mean it), the
+lower bound from one bipartition pass, a construction's upper bound (a
+cycle by a walk, an even-order circulant by isomorphism: the paper's
+result (ii)), the exact chromatic number only when no construction meets
+the bound, and searches only where the bounds do not meet.  The search
+is one iterative loop, so its depth has no recursion limit.  It labels
+edge by edge in a vertex-clustering order, prunes on adjacent
+completed-sum ties, and bounds by the distinct sums frozen.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from typing import NamedTuple, Optional
 
-from .circulants import c_labeling, c_labeling_sums, circulant_colors, circulant_labeling
-from .graphs import CirculantSpec, Graph, are_isomorphic, build_circulant, first_coloring
+from .circulants import c_labeling, c_labeling_sums, circulant_colors
+from .graphs import (CirculantSpec, Graph, are_isomorphic, build_circulant, first_coloring,
+                     partite_classes)
 from .labelings import EdgeLabeling, certify, check_two_color_necessary
 
 
@@ -76,66 +78,69 @@ class OracleResult:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number: the least k with a proper k-coloring."""
-    if g.n == 0:
-        return 0
-    if g.q == 0:
-        return 1
-    for k in range(2, g.n):
-        if first_coloring(g, k) is not None:
-            return k
-    return g.n
+    """The least k with a proper k-coloring; k <= 2 is read off the bipartition."""
+    parts = partite_classes(g, 2)
+    if parts is not None:
+        return sum(1 for part in parts if part)
+    return next(k for k in count(3) if first_coloring(g, k) is not None)
 
 
-def _two_sums_refuted(g: Graph) -> bool:
-    """Whether the paper's necessary conditions rule out at most two sums.
-    Sound only on connected graphs, whose bipartition is unique."""
-    return (
-        g.q >= 1
-        and g.is_connected()
-        and not check_two_color_necessary(g).two_colors_possible
-    )
+def _lower_bound(g: Graph) -> tuple[int, str]:
+    """A lower bound on χ_la and its source, from one bipartition pass: 3 by
+    the chromatic number when g is not bipartite (χ may be higher), 3 by
+    the two-sum conditions, else χ <= 2 read off the partition."""
+    verdict = check_two_color_necessary(g)
+    if not verdict.bipartite:
+        return 3, "chromatic number"
+    if g.q and not verdict.two_colors_possible and g.is_connected():
+        return 3, "two-sum conditions"
+    return sum(1 for size in verdict.part_sizes if size), "chromatic number"
 
 
 def _construction(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
     """The library's 3-sum labeling of g and its source, when g is a cycle
     or an even-order circulant C_n(1, S) with odd steps; else None.
 
-    The construction is matched by isomorphism and its labels are carried
-    through the vertex map onto g's edges, then certified.  Step 1 loses
-    no generality: multiplying by the inverse of any step maps a circulant
+    A cycle is walked from vertex 0, step j taking the label of edge j of
+    ``c_labeling(n)``: the map ``are_isomorphic`` finds from C_n.  A
+    circulant is matched by isomorphism, step cycle i taking
+    ``c_labeling(n)`` translated by i·n, and certified on g like a cycle.
+    Step 1 loses no generality: the inverse of any step maps a circulant
     onto an isomorphic one that has step 1.
     """
     n = g.n
-    if n < 3 or not (g.is_regular() and g.is_simple() and g.is_connected()):
+    if n < 3 or not (g.is_regular() and g.is_simple()):
         return None
     d = g.degrees[0]
+    if d != 2 and (n % 2 or d % 2 or not g.is_connected()):
+        return None
+    base, labels = c_labeling(n).labels, [0] * g.q
     if d == 2:
-        choices = [()]
-    elif n % 2 == 0 and d % 2 == 0:
+        v, e = 0, g.incident[0][0]
+        for x in base:
+            labels[e] = x
+            a, b = g.edges[e]
+            v = b if a == v else a
+            a, b = g.incident[v]
+            e = b if a == e else a
+        if 0 in labels:  # the walk closed before n steps: g is not connected
+            return None
+        sums, source = frozenset(c_labeling_sums(n)), f"cycle labeling C_{n}"
+    else:
         odd = [a for a in range(3, n // 2, 2) if math.gcd(a, n) == 1]
-        choices = combinations(odd, d // 2 - 1)
-    else:
-        return None
-    for rest in choices:
-        spec = CirculantSpec(n, (1, *rest))
-        built = build_circulant(spec)  # C_n(1) is build_cycle(n), edge for edge
-        mapping = are_isomorphic(built, g)
-        if mapping is not None:
-            break
-    else:
-        return None
-    if d == 2:
-        labeling, sums = c_labeling(n), frozenset(c_labeling_sums(n))
-        source = f"cycle labeling C_{n}"
-    else:
-        labeling, sums = circulant_labeling(spec)[1], circulant_colors(n // 2, len(rest))
-        source = f"circulant labeling C_{n}{spec.steps}"
-    position = {(min(u, v), max(u, v)): i for i, (u, v) in enumerate(g.edges)}
-    labels = [0] * g.q
-    for (u, v), x in zip(built.edges, labeling.labels):
-        a, b = mapping[u], mapping[v]
-        labels[position[min(a, b), max(a, b)]] = x
+        for rest in combinations(odd, d // 2 - 1):
+            spec = CirculantSpec(n, (1, *rest))
+            built = build_circulant(spec)
+            mapping = are_isomorphic(built, g)
+            if mapping is not None:
+                break
+        else:
+            return None
+        position = {(min(u, v), max(u, v)): i for i, (u, v) in enumerate(g.edges)}
+        for i, (u, v) in enumerate(built.edges):
+            a, b = mapping[u], mapping[v]
+            labels[position[min(a, b), max(a, b)]] = base[i % n] + i // n * n
+        sums, source = circulant_colors(n // 2, len(rest)), f"circulant labeling C_{n}{spec.steps}"
     carried = EdgeLabeling(tuple(labels))
     certify(f"{source} carried onto the input", g, carried, sums)
     return carried, source
@@ -258,15 +263,13 @@ def feasible_with_colors(
 ) -> Optional[EdgeLabeling]:
     """A local antimagic labeling of g with at most k distinct sums, or
     None after an exhaustive search finds none.  Neither answer needs a
-    search when the bounds settle it: None for k <= 2 on a connected graph
-    that fails the two-sum conditions, and for k >= 3 on a cycle or an
-    even-order circulant with odd steps, the library's certified 3-sum
-    labeling."""
+    search when the bounds settle it: None for k <= 2 below the lower
+    bound of ``exact_chi_la``, and for k >= 3 on a cycle or an even-order
+    circulant with odd steps, the library's certified 3-sum labeling."""
     search = _Search(g, budget or SearchBudget())
-    if k <= 2 and _two_sums_refuted(g):
+    if k <= 2 and k < _lower_bound(g)[0]:
         return None
-    built = _construction(g) if k >= 3 else None
-    if built is not None:
+    if k >= 3 and (built := _construction(g)) is not None:
         return built[0]
     found = search.run(k)
     return EdgeLabeling(tuple(found)) if found is not None else None
@@ -276,28 +279,25 @@ def exact_chi_la(g: Graph, budget: Optional[SearchBudget] = None) -> OracleResul
     """Exact minimum number of induced sums over all local antimagic
     labelings, with a witness labeling and the bounds that settle it.
 
-    The edge budget is checked before any work.  The lower bound is the
-    larger of two: the chromatic number, since adjacent vertices need
-    distinct sums (χ ≤ χ_la, Arumugam et al. 2017), and 3 on a connected
-    graph that fails the two-sum conditions of
-    ``check_two_color_necessary``.  When it is 3 and the graph is a cycle
-    or an even-order circulant with odd steps, the library's certified
-    3-sum labeling meets it (the cycle labeling, and the paper's result
-    (ii)): no search runs and ``nodes`` is 0.  Otherwise the search starts
-    at the lower bound and increases k until a witness exists.  Raises
-    ValueError if no labeling exists at all, which among connected graphs
-    happens only for K_2 (Haslegrave 2018).
+    In order: the edge budget; the lower bound from one bipartition pass
+    (the chromatic number, χ ≤ χ_la by Arumugam et al. 2017, or 3 on a
+    connected graph that fails the two-sum conditions of
+    ``check_two_color_necessary``); at 3, the certified 3-sum labeling of
+    a cycle or an even-order circulant with odd steps (the paper's result
+    (ii)), which meets it: no search runs and ``nodes`` is 0; only when no
+    construction meets it, the exact chromatic number of a graph that is
+    not bipartite; then the search, from the lower bound up until a
+    witness exists.  Raises ValueError if no labeling exists at all, which
+    among connected graphs happens only for K_2 (Haslegrave 2018).
     """
     start = time.perf_counter()
     search = _Search(g, budget or SearchBudget())
-    lower, lower_source = chromatic_number(g), "chromatic number"
-    if lower < 3 and _two_sums_refuted(g):
-        lower, lower_source = 3, "two-sum conditions"
-    built = _construction(g) if lower == 3 else None
-    if built is not None:
-        witness, source = built
-        return OracleResult(3, witness, 0, time.perf_counter() - start,
-                            Bounds(3, lower_source, 3, source))
+    lower, lower_source = _lower_bound(g)
+    if lower == 3 and (built := _construction(g)) is not None:
+        return OracleResult(3, built[0], 0, time.perf_counter() - start,
+                            Bounds(3, lower_source, 3, built[1]))
+    if lower == 3 and lower_source == "chromatic number":  # g is not bipartite
+        lower = chromatic_number(g)
     for k in range(lower, g.n + 1):
         found = search.run(k)
         if found is not None:

@@ -40,6 +40,26 @@ def random_connected_graph(rng: random.Random, n: int, extra_edges: int) -> Grap
     return Graph(n, tuple(sorted(edges)))
 
 
+def random_connected_multigraph(rng: random.Random, q: int) -> Graph:
+    """A random spanning tree on at most q+1 vertices, plus random extra
+    edges that may run parallel to earlier ones."""
+    n = rng.randrange(2, q + 2)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    while len(edges) < q:
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v))
+    return Graph(n, tuple(edges))
+
+
+def shuffled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertices renamed and its edges reordered at random."""
+    names = list(range(g.n))
+    rng.shuffle(names)
+    edges = [(names[u], names[v]) for u, v in g.edges]
+    rng.shuffle(edges)
+    return Graph(g.n, tuple(edges))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20230817)

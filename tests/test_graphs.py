@@ -38,7 +38,7 @@ from local_antimagic import (
 from local_antimagic.graphs import gamma_cycle_sequence
 from local_antimagic.serialize import graph_from_dict, graph_to_dict
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_connected_multigraph, shuffled
 
 
 def test_cycle_structure():
@@ -313,6 +313,48 @@ def test_isomorphism_returns_the_mappings_of_the_recursive_search():
         mappings.append(are_isomorphic(g, h))
     digest = hashlib.sha256(json.dumps(mappings).encode()).hexdigest()
     assert digest == "53786609a81e242e360d063341eee8d30dc57dc45aff8ddb6728a0fcc9000414"
+
+
+def _nx_multigraph(nx, g: Graph):
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def _edge_moved(g: Graph, rng: random.Random) -> Graph:
+    """g with one end of one edge moved to another vertex."""
+    edges = list(g.edges)
+    i = rng.randrange(g.q)
+    u, v = edges[i]
+    edges[i] = (u, rng.choice([w for w in range(g.n) if w not in (u, v)]))
+    return Graph(g.n, tuple(edges))
+
+
+def test_bipartition_and_isomorphism_agree_with_networkx():
+    # The oracle's lower bound reads bipartiteness off partite_classes, and
+    # its circulant bound rests on are_isomorphic: both against networkx,
+    # on multigraphs and on disconnected unions of two.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20201010)
+    graphs = [random_connected_multigraph(rng, rng.randrange(1, 10)) for _ in range(300)]
+    graphs += [Graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
+               for g, h in zip(graphs[:60:2], graphs[1:60:2])]
+    seen = set()
+    for g in graphs:
+        mg = _nx_multigraph(nx, g)
+        bipartite = partite_classes(g, 2) is not None
+        assert bipartite == nx.is_bipartite(mg), g.edges
+        copy = shuffled(g, rng)
+        assert are_isomorphic(g, copy) is not None
+        assert nx.is_isomorphic(mg, _nx_multigraph(nx, copy))
+        if g.n > 2:
+            moved = _edge_moved(g, rng)
+            isomorphic = are_isomorphic(g, moved) is not None
+            assert isomorphic == nx.is_isomorphic(mg, _nx_multigraph(nx, moved)), g.edges
+            seen.add(("isomorphic", isomorphic))
+        seen.add(("bipartite", bipartite))
+    assert len(seen) == 4
 
 
 # ---------------------------------------------------------------- edge check

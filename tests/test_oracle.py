@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from dataclasses import astuple
 from itertools import permutations
 
 import pytest
@@ -20,11 +22,12 @@ from local_antimagic import (
     induced_coloring,
     is_local_antimagic,
 )
+from local_antimagic import circulants, graphs, labelings, oracle
 from local_antimagic.labelings import certify
 from local_antimagic.oracle import BUDGET_ENV, Bounds, _construction, _Search
 from local_antimagic.reproduce import counterexample_graph
 
-from conftest import DATA, random_connected_graph
+from conftest import DATA, random_connected_graph, random_connected_multigraph, shuffled
 
 
 def brute_force_chi_la(g: Graph) -> int | None:
@@ -51,6 +54,18 @@ def test_chromatic_number_known_values():
     k4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
     assert chromatic_number(k4) == 4
     assert chromatic_number(Graph(3, ())) == 1
+
+
+def test_chromatic_number_reads_two_colors_off_the_bipartition():
+    # 40 disjoint stars K_{1,3} and a triangle: refuting k = 2 by
+    # backtracking over the stars' colorings doubles in time per star.
+    stars = tuple((c, c + i) for c in range(0, 160, 4) for i in (1, 2, 3))
+    g = Graph(163, stars + ((160, 161), (161, 162), (162, 160)))
+    start = time.perf_counter()
+    assert chromatic_number(g) == 3
+    assert time.perf_counter() - start < 1.0
+    assert chromatic_number(Graph(0, ())) == 0
+    assert chromatic_number(Graph(8, stars[:6])) == 2
 
 
 @pytest.mark.parametrize("m", range(3, 8))
@@ -146,17 +161,6 @@ def test_search_deeper_than_the_recursion_limit():
     assert not induced_coloring(path, EdgeLabeling(tuple(found))).conflicts
 
 
-def random_connected_multigraph(rng: random.Random, q: int) -> Graph:
-    """A random spanning tree on at most q+1 vertices, plus random extra
-    edges that may run parallel to earlier ones."""
-    n = rng.randrange(2, q + 2)
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    while len(edges) < q:
-        u, v = rng.sample(range(n), 2)
-        edges.append((u, v))
-    return Graph(n, tuple(edges))
-
-
 def test_two_sum_refutation_matches_brute_force():
     rng = random.Random(20201004)
     refuted = 0
@@ -231,14 +235,15 @@ def test_regular_symmetry_does_not_lose_optima():
         assert exact_chi_la(build_cycle(m)).value == brute_force_chi_la(build_cycle(m))
 
 
-def connected_atlas_graphs() -> list[Graph]:
+def connected_atlas_graphs(max_edges: int = 8) -> list[Graph]:
     """Every connected graph of the networkx atlas (up to 7 vertices)
-    with at least 3 vertices and at most 8 edges."""
+    with at least 3 vertices and at most ``max_edges`` edges."""
     nx = pytest.importorskip("networkx")
     return [
         Graph(h.number_of_nodes(), tuple(h.edges()))
         for h in nx.graph_atlas_g()
-        if h.number_of_nodes() >= 3 and h.number_of_edges() <= 8 and nx.is_connected(h)
+        if h.number_of_nodes() >= 3 and h.number_of_edges() <= max_edges
+        and nx.is_connected(h)
     ]
 
 
@@ -260,15 +265,6 @@ def test_bounds_agree_with_raw_search_on_an_atlas_sample():
         assert not coloring.conflicts and len(coloring.colors) == k
         assert result.bounds.lower <= k == result.bounds.upper
         assert (result.nodes == 0) == (result.bounds.upper_source != "search witness")
-
-
-def shuffled(g: Graph, rng: random.Random) -> Graph:
-    """g with its vertices renamed and its edges reordered at random."""
-    names = list(range(g.n))
-    rng.shuffle(names)
-    edges = [(names[u], names[v]) for u, v in g.edges]
-    rng.shuffle(edges)
-    return Graph(g.n, tuple(edges))
 
 
 @pytest.mark.parametrize(
@@ -306,3 +302,77 @@ def test_other_graphs_are_searched_or_refused_as_before():
         assert result.nodes > 0 and result.bounds.upper_source == "search witness"
         with pytest.raises(BudgetExceeded):
             feasible_with_colors(g, 3, SearchBudget(node_limit=0))
+    # Not bipartite, so χ = 3 rules out 2 sums with no search, connected or not.
+    assert feasible_with_colors(triangles, 2, SearchBudget(node_limit=0)) is None
+    # Three isolated vertices share one sum, 0, so no labeling has 0 sums.
+    assert feasible_with_colors(Graph(3, ()), 0) is None
+
+
+PINNED_CIRCULANTS = [(10, (1, 3)), (12, (1, 5)), (8, (1, 3)), (14, (1, 3)), (14, (1, 5)),
+                     (16, (1, 3, 5)), (16, (1, 7)), (18, (1, 5, 7))]
+
+
+def oracle_pin_graphs() -> list[tuple[str, Graph]]:
+    """The graphs of oracle_pins.json: C_3..C_40 plain and shuffled, eight
+    shuffled even-order circulants, and the connected atlas graphs with
+    n >= 3 and q <= 7."""
+    rng = random.Random(20201010)
+    cycles = [build_cycle(m) for m in range(3, 41)]
+    pinned = [(f"C{g.n}", g) for g in cycles]
+    pinned += [(f"C{g.n} shuffled", shuffled(g, rng)) for g in cycles]
+    pinned += [(f"C{m}{steps} shuffled", shuffled(build_circulant(CirculantSpec(m, steps)), rng))
+               for m, steps in PINNED_CIRCULANTS]
+    pinned += [(f"atlas {i}", g) for i, g in enumerate(connected_atlas_graphs(7))]
+    return pinned
+
+
+def oracle_pin(g: Graph) -> dict:
+    """What exact_chi_la returns on g, but its seconds."""
+    result = exact_chi_la(g, SearchBudget(max_edges=g.q))
+    return {"value": result.value, "witness": list(result.witness.labels),
+            "nodes": result.nodes, "bounds": list(astuple(result.bounds)),
+            "searches": [[run.k, run.nodes] for run in result.searches]}
+
+
+def test_oracle_outputs_are_pinned():
+    # Recorded before the bounds path read χ ≤ 2 off the bipartition and
+    # walked cycles instead of matching them by isomorphism.
+    pins = json.loads((DATA / "oracle_pins.json").read_text())
+    pinned = oracle_pin_graphs()
+    assert [pin["name"] for pin in pins] == [name for name, _ in pinned]
+    for pin, (name, g) in zip(pins, pinned):
+        assert (g.n, [list(e) for e in g.edges]) == (pin["n"], pin["edges"]), name
+        assert oracle_pin(g) == pin["result"], name
+
+
+def test_bounds_path_builds_and_certifies_only_what_it_needs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called on the bounds path")
+
+    for module in (graphs, circulants, oracle):
+        for name in ("are_isomorphic", "build_circulant", "first_coloring"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for m, lower in ((11, "chromatic number"), (12, "two-sum conditions")):
+        g = shuffled(build_cycle(m), random.Random(m))
+        result = exact_chi_la(g, SearchBudget(max_edges=m, node_limit=0))
+        assert result.nodes == 0
+        assert result.bounds == Bounds(3, lower, 3, f"cycle labeling C_{m}")
+    monkeypatch.undo()
+
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for module in (graphs, circulants, labelings, oracle):
+        for name in ("build_circulant", "certify"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    g = shuffled(build_circulant(CirculantSpec(10, (1, 3))), random.Random(8))
+    result = exact_chi_la(g, SearchBudget(max_edges=g.q, node_limit=0))
+    assert result.bounds.upper_source == "circulant labeling C_10(1, 3)"
+    assert sorted(calls) == ["build_circulant", "certify"]

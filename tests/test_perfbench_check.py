@@ -40,3 +40,15 @@ def test_benchmark_checker_refutes_swapped_labels():
     labels[1], labels[2] = labels[2], labels[1]
     with pytest.raises(check.CheckFailed):
         check.check_construction(req, g.n, g.edges, labels)
+
+
+@pytest.mark.parametrize("seed", [71, 72, 73])
+def test_oracle_corpus_passes_the_benchmark_checker(seed):
+    # Every instance as the oracle-corpus workload runs it, at the small
+    # node cap: a witness the benchmark would refuse fails here first.
+    short, long = gen.oracle_corpus(seed, workloads.RANDOM_EDGES)
+    for job in long + short:
+        settled, value, witness = workloads.oracle_job(
+            job, workloads.TINY.oracle_node_cap, Tracer(False))
+        assert settled, job["name"]
+        check.check_oracle(job, value, witness)
