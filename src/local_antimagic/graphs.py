@@ -103,8 +103,26 @@ class Graph:
     def is_regular(self) -> bool:
         return self.n > 0 and len(set(self.degrees)) == 1
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The connected components in order of their least vertex, each in
+        breadth-first order from it."""
+        seen = [False] * self.n
+        components = []
+        for start in range(self.n):
+            if not seen[start]:
+                seen[start] = True
+                component = [start]
+                for v in component:  # the list grows as the search reaches vertices
+                    for w in self.adjacency[v]:
+                        if not seen[w]:
+                            seen[w] = True
+                            component.append(w)
+                components.append(tuple(component))
+        return tuple(components)
+
     def is_connected(self) -> bool:
-        return self.n == 0 or len(_bfs_order(self, (0,))) == self.n
+        return len(self.components) <= 1
 
     def pendant_count(self) -> int:
         return sum(1 for d in self.degrees if d == 1)
@@ -207,7 +225,7 @@ class MergePlan:
     kinds: tuple[str, ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(v) for v in b)) for b in self.blocks)
+        blocks = tuple(tuple(sorted(map(int, block))) for block in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         if len(self.kinds) != len(blocks):
             raise ValueError("one kind per block required")
@@ -217,12 +235,15 @@ class MergePlan:
                 raise ValueError(f"unknown block kind {kind!r}")
             if not block:
                 raise ValueError("empty block")
-            if kind == "A" and any(v % 2 for v in block):
-                raise ValueError(f"A-block {block} contains an odd index")
-            if kind == "B" and any(v % 2 == 0 for v in block):
-                raise ValueError(f"B-block {block} contains an even index")
-            if kind == "C" and len(block) > 3:
-                raise ValueError("C-blocks have size at most 3")
+            if kind == "C":
+                if len(block) > 3:
+                    raise ValueError("C-blocks have size at most 3")
+            else:
+                odd = kind == "B"
+                for v in block:
+                    if v & 1 != odd:
+                        raise ValueError(f"{kind}-block {block} contains an "
+                                         f"{'even' if odd else 'odd'} index")
             for v in block:
                 if not 0 <= v < self.n or covered[v]:
                     raise ValueError("blocks must partition the vertex set")
@@ -393,26 +414,6 @@ def partite_classes(g: Graph, k: int) -> Optional[list[list[int]]]:
     return [[v for v in range(g.n) if color[v] == c] for c in range(k)]
 
 
-def _bfs_order(g: Graph, starts) -> list[int]:
-    """The vertices reached from ``starts`` in breadth-first order; each
-    start not reached yet opens the next component."""
-    order: list[int] = []
-    seen = [False] * g.n
-    head = 0
-    for start in starts:
-        if seen[start]:
-            continue
-        seen[start] = True
-        order.append(start)
-        while head < len(order):
-            for w in g.adjacency[order[head]]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
-            head += 1
-    return order
-
-
 def _neighbor_degree_signature(g: Graph) -> list[tuple]:
     return [
         (g.degrees[v], tuple(sorted(g.degrees[w] for w in g.adjacency[v])))
@@ -437,7 +438,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[list[int]]:
 
     # BFS order so each vertex (after the first of a component) has a
     # mapped neighbor, which shrinks its candidate set to a neighborhood.
-    order = _bfs_order(g1, range(g1.n))
+    order = list(chain.from_iterable(g1.components))
 
     mapping = [-1] * g1.n
     inverse = [-1] * g2.n

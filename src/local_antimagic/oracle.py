@@ -3,13 +3,15 @@
 Intended for cross-checking the constructive labelings on small graphs.
 ``exact_chi_la`` checks a hard edge budget (raise it explicitly, or via
 the ANTIMAGIC_BUDGET_EDGES environment variable, when you mean it), the
-lower bound from one bipartition pass, a construction's upper bound (a
-cycle by a walk, an even-order circulant by isomorphism: the paper's
-result (ii)), the exact chromatic number only when no construction meets
-the bound, and searches only where the bounds do not meet.  The search
-is one iterative loop, so its depth has no recursion limit.  It labels
-edge by edge in a vertex-clustering order, prunes on adjacent
-completed-sum ties, and bounds by the distinct sums frozen.
+lower bound from one bipartition pass and the pendant count, a
+construction's upper bound (a cycle by a walk, an even-order circulant
+by isomorphism: the paper's result (ii)), the exact chromatic number only
+when no construction meets the bound, and searches only where the bounds
+do not meet.  The search is one iterative loop, so its depth has no
+recursion limit.  It labels edge by edge in a vertex-clustering order,
+prunes on adjacent completed-sum ties, and bounds by the distinct sums
+frozen: a depth that completes more vertices than new sums still fit
+tries only the labels that land one on a sum in use.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, count
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .circulants import c_labeling, c_labeling_sums, circulant_colors
@@ -58,7 +60,7 @@ class Bounds:
     bound that met it, each with its source."""
 
     lower: int
-    lower_source: str  # "chromatic number" or "two-sum conditions"
+    lower_source: str  # "chromatic number", "two-sum conditions" or "pendants"
     upper: int
     upper_source: str  # "search witness" or the construction, e.g. "cycle labeling C_5"
 
@@ -78,23 +80,47 @@ class OracleResult:
 
 
 def chromatic_number(g: Graph) -> int:
-    """The least k with a proper k-coloring; k <= 2 is read off the bipartition."""
+    """The least k with a proper k-coloring; k <= 2 is read off the
+    bipartition, and each component is colored on its own."""
     parts = partite_classes(g, 2)
     if parts is not None:
         return sum(1 for part in parts if part)
-    return next(k for k in count(3) if first_coloring(g, k) is not None)
+    pieces = [g]
+    if len(g.components) > 1:
+        which, rank = [0] * g.n, [0] * g.n
+        for c, component in enumerate(g.components):
+            for i, v in enumerate(component):
+                which[v], rank[v] = c, i
+        edges: list[list[tuple[int, int]]] = [[] for _ in g.components]
+        for u, v in g.edges:
+            edges[which[u]].append((rank[u], rank[v]))
+        pieces = [Graph(len(c), tuple(e)) for c, e in zip(g.components, edges)]
+    k = 3
+    for piece in pieces:
+        while first_coloring(piece, k) is None:
+            k += 1
+    return k
 
 
-def _lower_bound(g: Graph) -> tuple[int, str]:
-    """A lower bound on χ_la and its source, from one bipartition pass: 3 by
-    the chromatic number when g is not bipartite (χ may be higher), 3 by
-    the two-sum conditions, else χ <= 2 read off the partition."""
+def _lower_bound(g: Graph) -> tuple[int, str, bool]:
+    """A lower bound on χ_la, its source and whether g is bipartite, from
+    one bipartition pass: 3 by the chromatic number when g is not bipartite
+    (χ may be higher), 3 by the two-sum conditions, else χ <= 2 read off
+    the partition; and l + 1 by its l >= 1 pendants where that is higher.
+    The pendants' sums are their distinct labels, and the edge labelled q
+    has an end of degree at least 2 (else it is a K_2 and no labeling
+    exists), whose sum exceeds q."""
     verdict = check_two_color_necessary(g)
     if not verdict.bipartite:
-        return 3, "chromatic number"
-    if g.q and not verdict.two_colors_possible and g.is_connected():
-        return 3, "two-sum conditions"
-    return sum(1 for size in verdict.part_sizes if size), "chromatic number"
+        lower, source = 3, "chromatic number"
+    elif g.q and not verdict.two_colors_possible and g.is_connected():
+        lower, source = 3, "two-sum conditions"
+    else:
+        lower, source = sum(1 for size in verdict.part_sizes if size), "chromatic number"
+    pendants = verdict.pendant_count
+    if pendants and pendants + 1 > lower:
+        lower, source = pendants + 1, "pendants"
+    return lower, source, verdict.bipartite
 
 
 def _construction(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
@@ -181,9 +207,10 @@ class _Search:
 
     @cached_property
     def depths(self) -> list[tuple]:
-        """Per depth: the edge's ends, its largest label, and each end whose
-        sum completes there with its neighbours complete by then; then a
-        sentinel, so the loop may read one depth past the last."""
+        """Per depth: the edge's ends, its largest label, each end whose sum
+        completes there with its neighbours complete by then, and how many
+        ends complete; then a sentinel, so the loop may read one depth past
+        the last."""
         g = self.g
         done_at = {w: i for i, e in enumerate(self.order) for w in g.edges[e]}
         # The complement q+1-f of a labeling of a regular graph induces the
@@ -191,10 +218,13 @@ class _Search:
         first = (g.q + 1) // 2 if g.is_regular() else g.q
         depths = []
         for i, e in enumerate(self.order):
+            u, v = g.edges[e]
+            if done_at[u] != i:  # a lone completing end is always u
+                u, v = v, u
             checks = tuple((w, tuple(x for x in g.adjacency[w] if done_at[x] <= i))
-                           for w in g.edges[e] if done_at[w] == i)
-            depths.append((*g.edges[e], first if i == 0 else g.q, checks))
-        return depths + [(0, 0, 0, ())]
+                           for w in (u, v) if done_at[w] == i)
+            depths.append((u, v, first if i == 0 else g.q, checks, len(checks)))
+        return depths + [(0, 0, 0, (), 0)]
 
     def run(self, max_colors: int) -> Optional[list[int]]:
         """First labeling found with at most max_colors distinct sums.  The
@@ -204,29 +234,60 @@ class _Search:
         sums = [0] * g.n
         free = [True] * (q + 1)
         picked = [0] * q
-        # Completed vertices per sum; the sums in use count 0 if one is isolated.
+        # Completed vertices per sum, and the sums with one; ``distinct`` is
+        # len(used), plus 1 if a vertex is isolated, kept as a counter since
+        # every node reads it.
         frozen = [0] * (max(g.degrees, default=0) * q + 1)
+        used: list[int] = []
         distinct = int(0 in g.degrees)
         cap = 1 << 62 if b.node_limit is None else b.node_limit + 1
         alarm = cap if b.time_limit is None else min(cap, 1024)
         nodes = i = label = 0
-        u, v, top, checks = depths[0]
+        u, v, top, checks, ends = depths[0]
         while 0 <= i < q:
             if label:  # take back depth i's label before trying the next
                 for w, _ in checks:
                     s = sums[w]
                     frozen[s] -= 1
-                    distinct -= not frozen[s]
+                    if not frozen[s]:
+                        used.remove(s)
+                        distinct -= 1
                 free[label] = True
                 sums[u] -= label
                 sums[v] -= label
-            label += 1
-            while label <= top and not free[label]:
+            slack = max_colors - distinct
+            if ends <= slack:
                 label += 1
+                while label <= top and not free[label]:
+                    label += 1
+            else:
+                # More ends complete than new sums fit: the next label is the
+                # least free one above that lands u, both ends (no room at
+                # all) or either end (room for one) on a sum in use.
+                best, su, sv = top + 1, sums[u], sums[v]
+                if ends == 1:
+                    for s in used:
+                        x = s - su
+                        if label < x < best and free[x]:
+                            best = x
+                elif slack <= 0:
+                    for s in used:
+                        x = s - su
+                        if label < x < best and free[x] and frozen[sv + x]:
+                            best = x
+                else:
+                    for s in used:
+                        x = s - su
+                        if label < x < best and free[x]:
+                            best = x
+                        x = s - sv
+                        if label < x < best and free[x]:
+                            best = x
+                label = best
             if label > top:
                 i -= 1
                 label = picked[i]
-                u, v, top, checks = depths[i]
+                u, v, top, checks, ends = depths[i]
                 continue
             nodes += 1
             if nodes >= alarm:  # past the node limit, or a time check is due
@@ -246,13 +307,15 @@ class _Search:
                 for x in complete:
                     if sums[x] == s:
                         ok = False
-                distinct += not frozen[s]
+                if not frozen[s]:
+                    used.append(s)
+                    distinct += 1
                 frozen[s] += 1
             if ok and distinct <= max_colors:
                 picked[i] = label
                 i += 1
                 label = 0
-                u, v, top, checks = depths[i]
+                u, v, top, checks, ends = depths[i]
         self.nodes += nodes
         self.runs.append(SearchRun(max_colors, nodes, time.perf_counter() - start))
         return [x for _, x in sorted(zip(self.order, picked))] if i == q else None
@@ -263,14 +326,14 @@ def feasible_with_colors(
 ) -> Optional[EdgeLabeling]:
     """A local antimagic labeling of g with at most k distinct sums, or
     None after an exhaustive search finds none.  Neither answer needs a
-    search when the bounds settle it: None for k <= 2 below the lower
-    bound of ``exact_chi_la``, and for k >= 3 on a cycle or an even-order
-    circulant with odd steps, the library's certified 3-sum labeling."""
+    search when the bounds settle it: for k >= 3 on a cycle or an
+    even-order circulant with odd steps, the library's certified 3-sum
+    labeling, and None for any k below the lower bound of ``exact_chi_la``."""
     search = _Search(g, budget or SearchBudget())
-    if k <= 2 and k < _lower_bound(g)[0]:
-        return None
     if k >= 3 and (built := _construction(g)) is not None:
         return built[0]
+    if k < _lower_bound(g)[0]:
+        return None
     found = search.run(k)
     return EdgeLabeling(tuple(found)) if found is not None else None
 
@@ -282,22 +345,25 @@ def exact_chi_la(g: Graph, budget: Optional[SearchBudget] = None) -> OracleResul
     In order: the edge budget; the lower bound from one bipartition pass
     (the chromatic number, χ ≤ χ_la by Arumugam et al. 2017, or 3 on a
     connected graph that fails the two-sum conditions of
-    ``check_two_color_necessary``); at 3, the certified 3-sum labeling of
-    a cycle or an even-order circulant with odd steps (the paper's result
-    (ii)), which meets it: no search runs and ``nodes`` is 0; only when no
-    construction meets it, the exact chromatic number of a graph that is
-    not bipartite; then the search, from the lower bound up until a
+    ``check_two_color_necessary``) or l + 1 for l >= 1 pendants where that
+    is higher; at 3, the certified 3-sum labeling of a cycle or an
+    even-order circulant with odd steps (the paper's result (ii)), which
+    meets it: no search runs and ``nodes`` is 0; only when no construction
+    meets it, the exact chromatic number of a graph that is not bipartite,
+    where it is higher; then the search, from the lower bound up until a
     witness exists.  Raises ValueError if no labeling exists at all, which
     among connected graphs happens only for K_2 (Haslegrave 2018).
     """
     start = time.perf_counter()
     search = _Search(g, budget or SearchBudget())
-    lower, lower_source = _lower_bound(g)
+    lower, lower_source, bipartite = _lower_bound(g)
     if lower == 3 and (built := _construction(g)) is not None:
         return OracleResult(3, built[0], 0, time.perf_counter() - start,
                             Bounds(3, lower_source, 3, built[1]))
-    if lower == 3 and lower_source == "chromatic number":  # g is not bipartite
-        lower = chromatic_number(g)
+    if not bipartite:
+        chi = chromatic_number(g)
+        if chi > lower:
+            lower, lower_source = chi, "chromatic number"
     for k in range(lower, g.n + 1):
         found = search.run(k)
         if found is not None:

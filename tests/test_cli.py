@@ -176,13 +176,15 @@ def test_oracle_stats_add_the_bounds(capsys, monkeypatch):
 
 
 def test_oracle_stats_list_each_k_searched(capsys, monkeypatch):
-    # chi_la = 5 and the lower bound is 3, so k = 3, 4, 5 are searched.
-    star = json.dumps(document(Graph(6, ((0, 4), (1, 4), (2, 4), (3, 5), (4, 5)))))
-    code, out = run_cli(capsys, monkeypatch, ["oracle", "chi-la", "--stats"], stdin=star)
+    # A bowtie (triangles 1-2-6 and 4-5-6) with pendants 0 and 3: chi_la = 5
+    # and the lower bound is 3, so k = 3, 4, 5 are searched.
+    g = Graph(7, ((0, 1), (1, 2), (1, 6), (2, 3), (2, 6), (4, 5), (4, 6), (5, 6)))
+    code, out = run_cli(capsys, monkeypatch, ["oracle", "chi-la", "--stats"],
+                        stdin=json.dumps(document(g)))
     report = json.loads(out)
     assert code == 0 and report["chi_la"] == 5
     assert [run["k"] for run in report["searches"]] == [3, 4, 5]
-    assert report["searches"][0]["nodes"] == 205
+    assert [run["nodes"] for run in report["searches"]] == [29088, 38916, 118]
     assert sum(run["nodes"] for run in report["searches"]) == report["nodes"]
     assert all(0 <= run["seconds"] <= report["seconds"] for run in report["searches"])
 

@@ -147,6 +147,75 @@ def test_merge_plan_rejects_blocks_that_are_not_a_partition(n, blocks, kinds):
         MergePlan(n, blocks, kinds)
 
 
+def old_plan_error(n, blocks, kinds):
+    """The message of the block-by-block check MergePlan first had, or None."""
+    blocks = tuple(tuple(sorted(int(v) for v in b)) for b in blocks)
+    if len(kinds) != len(blocks):
+        return "one kind per block required"
+    covered = [False] * n
+    for block, kind in zip(blocks, kinds):
+        if kind not in ("A", "B", "C"):
+            return f"unknown block kind {kind!r}"
+        if not block:
+            return "empty block"
+        if kind == "A" and any(v % 2 for v in block):
+            return f"A-block {block} contains an odd index"
+        if kind == "B" and any(v % 2 == 0 for v in block):
+            return f"B-block {block} contains an even index"
+        if kind == "C" and len(block) > 3:
+            return "C-blocks have size at most 3"
+        for v in block:
+            if not 0 <= v < n or covered[v]:
+                return "blocks must partition the vertex set"
+            covered[v] = True
+    return None if all(covered) else "blocks must partition the vertex set"
+
+
+def test_merge_plan_raises_the_messages_of_its_first_check():
+    rng = random.Random(20201018)
+    seen = set()
+    for _ in range(3000):
+        n = rng.randrange(0, 9)
+        vertices = list(range(n))
+        rng.shuffle(vertices)
+        blocks = []
+        while vertices:
+            size = rng.randrange(1, 4)
+            blocks.append(vertices[:size])
+            vertices = vertices[size:]
+        kinds = ["C" if len(b) > 1 and len({v % 2 for v in b}) > 1 else "AB"[b[0] % 2]
+                 for b in blocks]
+        for _ in range(rng.randrange(0, 3)):  # break it in up to two places
+            i = rng.randrange(len(blocks)) if blocks else 0
+            fault = rng.randrange(7)
+            if fault == 0 and i < len(kinds):
+                kinds[i] = rng.choice("ABCD")
+            elif fault == 1 and blocks:
+                blocks[i] = blocks[i] + [rng.randrange(-1, n + 1)]
+            elif fault == 2 and blocks:
+                del blocks[i]
+            elif fault == 3:
+                blocks.insert(i, [])
+            elif fault == 4 and i < len(kinds):
+                kinds.pop(i)
+            elif fault == 5:
+                blocks.append([str(rng.randrange(n + 1))])
+            elif fault == 6 and blocks:
+                blocks[i] = [float(v) for v in blocks[i]]
+            if len(kinds) < len(blocks) and fault != 4:
+                kinds.append(rng.choice("ABC"))
+        expected = old_plan_error(n, blocks, tuple(kinds))
+        seen.add(expected)
+        if expected is None:
+            plan = MergePlan(n, tuple(map(tuple, blocks)), tuple(kinds))
+            assert plan.blocks == tuple(tuple(sorted(map(int, b))) for b in blocks)
+        else:
+            with pytest.raises(ValueError) as info:
+                MergePlan(n, tuple(map(tuple, blocks)), tuple(kinds))
+            assert str(info.value) == expected, (n, blocks, kinds)
+    assert len({m.split(" ")[0] for m in seen if m}) == 7 and None in seen
+
+
 def test_one_point_union_indices():
     g = one_point_union([build_cycle(4), build_cycle(3)], [0, 0])
     assert g.n == 4 + 3 - 1
@@ -275,6 +344,9 @@ def test_isomorphism_with_multiplicities():
 
 def test_bfs_on_disconnected_graphs():
     assert Graph(0, ()).is_connected()
+    g = Graph(6, ((4, 2), (0, 5), (2, 0), (3, 1)))
+    assert g.components == ((0, 5, 2, 4), (1, 3))
+    assert Graph(3, ()).components == ((0,), (1,), (2,))
     assert not Graph(3, ((1, 2),)).is_connected()
     assert not Graph(3, ((0, 1),)).is_connected()
     # A triangle and a 4-cycle onto a relabelled copy: the search must

@@ -24,7 +24,7 @@ from local_antimagic import (
 )
 from local_antimagic import circulants, graphs, labelings, oracle
 from local_antimagic.labelings import certify
-from local_antimagic.oracle import BUDGET_ENV, Bounds, _construction, _Search
+from local_antimagic.oracle import BUDGET_ENV, Bounds, _construction, _lower_bound, _Search
 from local_antimagic.reproduce import counterexample_graph
 
 from conftest import DATA, random_connected_graph, random_connected_multigraph, shuffled
@@ -66,6 +66,60 @@ def test_chromatic_number_reads_two_colors_off_the_bipartition():
     assert time.perf_counter() - start < 1.0
     assert chromatic_number(Graph(0, ())) == 0
     assert chromatic_number(Graph(8, stars[:6])) == 2
+
+
+def test_chromatic_number_colors_each_component_on_its_own(monkeypatch):
+    # s disjoint stars K_{1,3}, then a K_4: colouring the whole graph at
+    # once backtracks across the stars' centres, about 3x per star.  Each
+    # component is coloured on its own, once at each k it is tried at.
+    colored = []
+    real = oracle.first_coloring
+    monkeypatch.setattr(oracle, "first_coloring",
+                        lambda part, k: colored.append((part, k)) or real(part, k))
+    k4 = tuple((u, v) for u in range(4) for v in range(u + 1, 4))
+    for s in (4, 8, 11):
+        stars = tuple((c, c + i) for c in range(0, 4 * s, 4) for i in (1, 2, 3))
+        g = Graph(4 * s + 4, stars + tuple((4 * s + u, 4 * s + v) for u, v in k4))
+        colored.clear()
+        assert chromatic_number(g) == 4
+        assert [(part.n, k) for part, k in colored] == [(4, 3)] * s + [(4, 3), (4, 4)]
+    # A connected graph is coloured as it is, not as a copy.
+    spokes, rim = ((0, v) for v in range(1, 6)), ((v, v % 5 + 1) for v in range(1, 6))
+    wheel = Graph(6, (*spokes, *rim))
+    colored.clear()
+    assert chromatic_number(wheel) == 4
+    assert [(part is wheel, k) for part, k in colored] == [(True, 3), (True, 4)]
+    # The largest need may come from any component, bipartite ones included.
+    triangle, square = ((0, 1), (1, 2), (2, 0)), ((3, 4), (4, 5), (5, 6), (6, 3))
+    assert chromatic_number(Graph(7, triangle + square)) == 3
+    shifted = tuple((u + 7, v + 7) for u, v in k4)
+    assert chromatic_number(Graph(11, triangle + square + shifted)) == 4
+    assert chromatic_number(Graph(12, triangle + square + shifted + ((11, 0),))) == 4
+
+
+def test_pendant_bound_counts_the_pendants_and_one_more(monkeypatch):
+    # Pendant sums are their distinct labels, and the end of the edge
+    # labelled q that is not a pendant has a sum above q.  A bipartite
+    # graph needs no chromatic number past its bipartition pass.
+    monkeypatch.setattr(oracle, "chromatic_number", None)
+    for s in range(3, 7):
+        star = Graph(s + 1, tuple((0, v) for v in range(1, s + 1)))
+        assert _lower_bound(star) == (s + 1, "pendants", True)
+        result = exact_chi_la(star)
+        assert result.bounds == Bounds(s + 1, "pendants", s + 1, "search witness")
+        assert [run.k for run in result.searches] == [s + 1]
+        assert feasible_with_colors(star, s, SearchBudget(node_limit=0)) is None
+    monkeypatch.undo()
+    # A bound that is not higher keeps the old source.
+    assert _lower_bound(Graph(3, ((0, 1), (1, 2)))) == (3, "two-sum conditions", True)
+    triangle_and_pendant = Graph(4, ((0, 1), (1, 2), (2, 0), (0, 3)))
+    assert _lower_bound(triangle_and_pendant) == (3, "chromatic number", False)
+    # A triangle with a pendant at each vertex: χ = 3 is not higher, so
+    # "pendants" stays after the chromatic number is taken.
+    net = Graph(6, ((0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)))
+    assert _lower_bound(net) == (4, "pendants", False)
+    bounds = exact_chi_la(net).bounds
+    assert (bounds.lower, bounds.lower_source) == (4, "pendants")
 
 
 @pytest.mark.parametrize("m", range(3, 8))
@@ -130,17 +184,23 @@ def test_node_limit():
 
 
 def test_time_limit_is_checked_every_1024_nodes():
+    # Refuting k = 3 here takes 1281 nodes.
+    g = Graph(5, ((0, 1), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
     with pytest.raises(BudgetExceeded, match="time limit") as info:
-        exact_chi_la(complete_bipartite(3, 3), SearchBudget(time_limit=0.0))
+        exact_chi_la(g, SearchBudget(time_limit=0.0))
     assert info.value.nodes == 1024
 
 
+# A bowtie (triangles 1-2-6 and 4-5-6) with pendants 0 and 3: chi_la = 5;
+# the lower bound is 3, so k = 3, 4 and 5 are searched.
+THREE_SEARCHES = Graph(7, ((0, 1), (1, 2), (1, 6), (2, 3), (2, 6), (4, 5), (4, 6), (5, 6)))
+
+
 def test_budget_exceeded_counts_nodes_over_every_k():
-    # chi_la = 5 here; k = 3 fails after 205 nodes, then k = 4 hits the cap.
-    g = Graph(6, ((0, 4), (1, 4), (2, 4), (3, 5), (4, 5)))
+    # k = 3 fails after 29088 nodes, then k = 4 hits the cap.
     with pytest.raises(BudgetExceeded) as info:
-        exact_chi_la(g, SearchBudget(node_limit=300))
-    assert info.value.nodes == 205 + 301
+        exact_chi_la(THREE_SEARCHES, SearchBudget(node_limit=30000))
+    assert info.value.nodes == 29088 + 30001
     with pytest.raises(BudgetExceeded) as info:
         exact_chi_la(build_cycle(12), SearchBudget(max_edges=10))
     assert info.value.nodes == 0
@@ -205,14 +265,21 @@ def test_k44_has_no_two_sum_labeling():
 
 
 def test_witnesses_and_node_counts_are_pinned():
+    # Node counts fell when a depth that completes a vertex began to try only
+    # labels that land it on a sum the budget still allows: C_13 from 17938,
+    # K_{4,4} from 988637, K_{3,3} from 1341, the counterexample from 1185.
     search = _Search(build_cycle(13), SearchBudget(max_edges=13))
     assert search.run(3) == [1, 13, 2, 12, 3, 11, 4, 10, 5, 9, 6, 8, 7]
-    assert search.nodes == 17938
+    assert search.nodes == 2589
     assert exact_chi_la(build_cycle(13), SearchBudget(max_edges=13)).nodes == 0
     search = _Search(complete_bipartite(4, 4), SearchBudget(max_edges=16))
     found = search.run(3)
     assert found == [1, 2, 3, 4, 15, 14, 8, 5, 12, 11, 10, 9, 6, 7, 13, 16]
-    assert search.nodes == 988637
+    assert search.nodes == 245061
+    # The searched instances of the oracle-corpus benchmark.
+    for g, nodes in ((complete_bipartite(3, 3), 671), (counterexample_graph(), 495)):
+        result = exact_chi_la(g)
+        assert (result.value, result.nodes, [run.k for run in result.searches]) == (3, nodes, [3])
 
 
 def test_search_order_is_pinned_on_random_multigraphs():
@@ -226,6 +293,67 @@ def test_search_order_is_pinned_on_random_multigraphs():
         for k, witness, nodes in pin["runs"]:
             before = search.nodes
             assert (search.run(k), search.nodes - before) == (witness, nodes), (g.edges, k)
+
+
+def plain_search(g: Graph, k: int) -> tuple[list[int] | None, int]:
+    """Reference for ``_Search.run``: the same edge order, ties and sum
+    count, but every free label tried at every depth.  Returns the first
+    labeling found with at most k sums, and the nodes tried."""
+    order = _Search(g, SearchBudget(max_edges=g.q)).order
+    labels, sums, left = [0] * g.q, [0] * g.n, list(g.degrees)
+    used: dict[int, int] = {}
+    isolated = int(0 in g.degrees)
+    nodes = 0
+
+    def extend(i: int) -> bool:
+        nonlocal nodes
+        if i == g.q:
+            return True
+        e = order[i]
+        u, v = g.edges[e]
+        top = (g.q + 1) // 2 if i == 0 and g.is_regular() else g.q
+        for x in range(1, top + 1):
+            if x in labels:
+                continue
+            nodes += 1
+            labels[e] = x
+            for w in (u, v):
+                sums[w] += x
+                left[w] -= 1
+            done = [w for w in (u, v) if not left[w]]
+            for w in done:
+                used[sums[w]] = used.get(sums[w], 0) + 1
+            ties = any(sums[w] == sums[y] for w in done for y in g.adjacency[w] if not left[y])
+            if not ties and len(used) + isolated <= k and extend(i + 1):
+                return True
+            for w in done:
+                used[sums[w]] -= 1
+                if not used[sums[w]]:
+                    del used[sums[w]]
+            for w in (u, v):
+                sums[w] -= x
+                left[w] += 1
+            labels[e] = 0
+        return False
+
+    return (labels if extend(0) else None), nodes
+
+
+def test_candidates_skip_only_nodes_the_checks_reject():
+    # Trying only labels that keep the sums within k drops nodes but never
+    # one that passes, so the witness is that of the plain search.
+    rng = random.Random(20201018)
+    fewer = 0
+    for _ in range(120):
+        g = random_connected_multigraph(rng, rng.randrange(1, 7))
+        search = _Search(g, SearchBudget())
+        for k in range(1, 5):
+            before = search.nodes
+            witness, nodes = plain_search(g, k)
+            assert search.run(k) == witness, (g.edges, k)
+            assert search.nodes - before <= nodes, (g.edges, k)
+            fewer += search.nodes - before < nodes
+    assert fewer > 200
 
 
 def test_regular_symmetry_does_not_lose_optima():
@@ -336,7 +464,10 @@ def oracle_pin(g: Graph) -> dict:
 
 def test_oracle_outputs_are_pinned():
     # Recorded before the bounds path read χ ≤ 2 off the bipartition and
-    # walked cycles instead of matching them by isomorphism.
+    # walked cycles instead of matching them by isomorphism.  Node counts
+    # were re-recorded for the sum-budget candidates, and bounds, searches
+    # and node counts where the pendant bound is higher; every value and
+    # witness is as first recorded.
     pins = json.loads((DATA / "oracle_pins.json").read_text())
     pinned = oracle_pin_graphs()
     assert [pin["name"] for pin in pins] == [name for name, _ in pinned]
@@ -372,7 +503,14 @@ def test_bounds_path_builds_and_certifies_only_what_it_needs(monkeypatch):
         for name in ("build_circulant", "certify"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    searched = []
+    components = Graph.components.func
+    monkeypatch.setattr(Graph.components, "func",
+                        lambda graph: searched.append(graph) or components(graph))
     g = shuffled(build_circulant(CirculantSpec(10, (1, 3))), random.Random(8))
     result = exact_chi_la(g, SearchBudget(max_edges=g.q, node_limit=0))
     assert result.bounds.upper_source == "circulant labeling C_10(1, 3)"
     assert sorted(calls) == ["build_circulant", "certify"]
+    # One breadth-first search of the input serves both connectivity checks;
+    # the other orders the built circulant for the isomorphism search.
+    assert len(searched) == 2 and searched[0] is g and searched[1] is not g
