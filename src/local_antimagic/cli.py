@@ -238,9 +238,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g, _, _ = _read_document(args.input)
-    budget = SearchBudget()
-    if args.max_edges is not None:
-        budget.max_edges = args.max_edges
+    budget = SearchBudget() if args.max_edges is None else SearchBudget(args.max_edges)
     try:
         if args.colors is not None:
             witness = feasible_with_colors(g, args.colors, budget)
@@ -386,6 +384,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("iso reads at most one of its two documents from stdin")
     if args.command == "oracle" and args.stats and args.colors is not None:
         parser.error("oracle --stats reports the exact search, not --colors")
+    if args.command == "oracle" and min(args.max_edges or 0, args.colors or 0) < 0:
+        parser.error("oracle --max-edges and --colors take non-negative integers")
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -10,7 +10,6 @@ never allowed; parallel edges are.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
@@ -80,7 +79,7 @@ class Graph:
         for i, (u, v) in enumerate(self.edges):
             inc[u].append(i)
             inc[v].append(i)
-        return tuple(tuple(x) for x in inc)
+        return tuple(map(tuple, inc))
 
     @cached_property
     def adjacency(self) -> tuple[dict[int, int], ...]:
@@ -104,22 +103,31 @@ class Graph:
         return self.n > 0 and len(set(self.degrees)) == 1
 
     @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """The connected components in order of their least vertex, each in
-        breadth-first order from it."""
-        seen = [False] * self.n
-        components = []
+    def _traversal(self) -> tuple[tuple[tuple[int, ...], ...], Optional[list[int]]]:
+        """One breadth-first pass over the neighbors: the connected
+        components in order of their least vertex, each in breadth-first
+        order from it, and the 2-coloring that gives each component's least
+        vertex color 0, or None if the graph is not bipartite."""
+        adjacency, color = self.adjacency, [-1] * self.n
+        components, bipartite = [], True
         for start in range(self.n):
-            if not seen[start]:
-                seen[start] = True
+            if color[start] < 0:
+                color[start] = 0
                 component = [start]
                 for v in component:  # the list grows as the search reaches vertices
-                    for w in self.adjacency[v]:
-                        if not seen[w]:
-                            seen[w] = True
+                    c = 1 - color[v]
+                    for w in adjacency[v]:
+                        if color[w] < 0:
+                            color[w] = c
                             component.append(w)
+                        elif color[w] != c:
+                            bipartite = False
                 components.append(tuple(component))
-        return tuple(components)
+        return tuple(components), color if bipartite else None
+
+    @property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return self._traversal[0]
 
     def is_connected(self) -> bool:
         return len(self.components) <= 1
@@ -387,38 +395,16 @@ def first_coloring(g: Graph, k: int) -> Optional[list[int]]:
 def partite_classes(g: Graph, k: int) -> Optional[list[list[int]]]:
     """A proper k-partition into independent sets, or None if none exists.
 
-    Parallel edges count as a single adjacency.  k=2 runs a two-coloring
-    traversal; k=3 takes the first 3-coloring of ``first_coloring``.
+    Parallel edges count as a single adjacency.  k=2 reads the 2-coloring
+    of the graph's one cached traversal; k=3 takes the first 3-coloring of
+    ``first_coloring``.
     """
-    if k == 2:
-        color = [-1] * g.n
-        for start in range(g.n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in g.adjacency[v]:
-                    if color[w] == -1:
-                        color[w] = 1 - color[v]
-                        queue.append(w)
-                    elif color[w] == color[v]:
-                        return None
-    elif k == 3:
-        color = first_coloring(g, 3)
-        if color is None:
-            return None
-    else:
+    if k not in (2, 3):
         raise ValueError("only k=2 and k=3 are supported")
+    color = g._traversal[1] if k == 2 else first_coloring(g, 3)
+    if color is None:
+        return None
     return [[v for v in range(g.n) if color[v] == c] for c in range(k)]
-
-
-def _neighbor_degree_signature(g: Graph) -> list[tuple]:
-    return [
-        (g.degrees[v], tuple(sorted(g.degrees[w] for w in g.adjacency[v])))
-        for v in range(g.n)
-    ]
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> Optional[list[int]]:
@@ -427,14 +413,15 @@ def are_isomorphic(g1: Graph, g2: Graph) -> Optional[list[int]]:
     Plain backtracking with degree and neighborhood-degree pruning;
     intended for the small instances this library produces.
     """
-    if g1.n != g2.n or g1.q != g2.q:
+    if g1.n != g2.n or g1.q != g2.q or sorted(g1.degrees) != sorted(g2.degrees):
         return None
-    if sorted(g1.degrees) != sorted(g2.degrees):
-        return None
-    sig1 = _neighbor_degree_signature(g1)
-    sig2 = _neighbor_degree_signature(g2)
-    if sorted(sig1) != sorted(sig2):
-        return None
+    if g1.is_regular():  # so is g2, and every vertex has the same signature
+        sig1 = sig2 = [0] * g1.n
+    else:
+        sig1, sig2 = ([(g.degrees[v], sorted(g.degrees[w] for w in g.adjacency[v]))
+                       for v in range(g.n)] for g in (g1, g2))
+        if sorted(sig1) != sorted(sig2):
+            return None
 
     # BFS order so each vertex (after the first of a component) has a
     # mapped neighbor, which shrinks its candidate set to a neighborhood.
@@ -493,12 +480,13 @@ def verify_vertex_map(g1: Graph, g2: Graph, mapping: list[int]) -> bool:
     """True iff ``mapping`` is a bijection with equal edge multisets."""
     if sorted(mapping) != list(range(g2.n)):
         return False
-    mapped = Graph(g2.n, tuple([(mapping[u], mapping[v]) for u, v in g1.edges]))
-    return sorted_edge_keys(mapped) == sorted_edge_keys(g2)
+    mapped = [(mapping[u], mapping[v]) for u, v in g1.edges]
+    return sorted_edge_keys(g2, mapped) == sorted_edge_keys(g2)
 
 
-def sorted_edge_keys(g: Graph) -> list[int]:
-    """The edges as the sorted ints min*n + max: two graphs on n vertices
-    have equal edge multisets exactly when these lists are equal."""
-    n = g.n
-    return sorted([u * n + v if u < v else v * n + u for u, v in g.edges])
+def sorted_edge_keys(g: Graph, edges=None) -> list[int]:
+    """The edges of g, or ``edges`` on its vertices, as the sorted ints
+    min*n + max: two graphs on n vertices have equal edge multisets exactly
+    when these lists are equal."""
+    n, edges = g.n, g.edges if edges is None else edges
+    return sorted([u * n + v if u < v else v * n + u for u, v in edges])

@@ -209,9 +209,7 @@ def check_two_color_necessary(g: Graph) -> TwoColorVerdict:
     dividing (q+1 choose 2); an even number of edges with a pendant, or
     two or more pendants, rules 2 colors out entirely.
     """
-    q = g.q
-    parts = partite_classes(g, 2)
-    pendants = g.pendant_count()
+    q, parts, pendants = g.q, partite_classes(g, 2), g.pendant_count()
     if parts is None:
         return TwoColorVerdict(False, None, False, False, pendants, False, False)
     sizes = (len(parts[0]), len(parts[1]))
@@ -219,12 +217,7 @@ def check_two_color_necessary(g: Graph) -> TwoColorVerdict:
     total = math.comb(q + 1, 2)
     divisibility = all(s > 0 and total % s == 0 for s in sizes)
     even_pendant = q % 2 == 0 and pendants >= 1
-    possible = (
-        sizes_distinct
-        and divisibility
-        and pendants <= 1
-        and not even_pendant
-    )
+    possible = sizes_distinct and divisibility and pendants <= 1 and not even_pendant
     return TwoColorVerdict(
         True, sizes, sizes_distinct, divisibility, pendants, even_pendant, possible
     )

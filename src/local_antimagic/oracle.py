@@ -1,12 +1,13 @@
 """Exact minimum color count: bounds first, then exhaustive labeling search.
 
 Intended for cross-checking the constructive labelings on small graphs.
-``exact_chi_la`` checks a hard edge budget (raise it explicitly, or via
-the ANTIMAGIC_BUDGET_EDGES environment variable, when you mean it), the
-lower bound from one bipartition pass and the pendant count, a
-construction's upper bound (a cycle by a walk, an even-order circulant
-by isomorphism: the paper's result (ii)), the exact chromatic number only
-when no construction meets the bound, and searches only where the bounds
+``exact_chi_la`` takes, in order: a hard edge budget (raise it explicitly,
+or via the ANTIMAGIC_BUDGET_EDGES environment variable, when you mean it);
+a walk that settles a cycle with its certified labeling; the lower bound
+from the graph's one traversal (components and 2-coloring) and the
+pendant count; an even-order circulant's certified labeling, matched by
+isomorphism (the paper's result (ii)); the exact chromatic number only
+when no construction meets the bound; and a search only where the bounds
 do not meet.  The search is one iterative loop, so its depth has no
 recursion limit.  It labels edge by edge in a vertex-clustering order,
 prunes on adjacent completed-sum ties, and bounds by the distinct sums
@@ -43,8 +44,10 @@ class BudgetExceeded(RuntimeError):
 
 
 def _default_max_edges() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_MAX_EDGES
+    raw = os.environ.get(BUDGET_ENV) or str(DEFAULT_MAX_EDGES)
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{BUDGET_ENV} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass
@@ -104,12 +107,12 @@ def chromatic_number(g: Graph) -> int:
 
 def _lower_bound(g: Graph) -> tuple[int, str, bool]:
     """A lower bound on χ_la, its source and whether g is bipartite, from
-    one bipartition pass: 3 by the chromatic number when g is not bipartite
-    (χ may be higher), 3 by the two-sum conditions, else χ <= 2 read off
-    the partition; and l + 1 by its l >= 1 pendants where that is higher.
-    The pendants' sums are their distinct labels, and the edge labelled q
-    has an end of degree at least 2 (else it is a K_2 and no labeling
-    exists), whose sum exceeds q."""
+    the graph's one traversal: 3 by the chromatic number when g is not
+    bipartite (χ may be higher), 3 by the two-sum conditions, else χ <= 2
+    read off the partition; and l + 1 by its l >= 1 pendants where that is
+    higher.  The pendants' sums are their distinct labels, and the edge
+    labelled q has an end of degree at least 2 (else it is a K_2 and no
+    labeling exists), whose sum exceeds q."""
     verdict = check_two_color_necessary(g)
     if not verdict.bipartite:
         lower, source = 3, "chromatic number"
@@ -123,52 +126,58 @@ def _lower_bound(g: Graph) -> tuple[int, str, bool]:
     return lower, source, verdict.bipartite
 
 
-def _construction(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
-    """The library's 3-sum labeling of g and its source, when g is a cycle
-    or an even-order circulant C_n(1, S) with odd steps; else None.
+def _cycle(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
+    """``c_labeling(n)`` carried onto g and its source, when g is one cycle
+    on n >= 3 vertices; else None.  A walk from vertex 0 gives step j the
+    label of edge j: the map ``are_isomorphic`` finds from C_n.  Where every
+    degree is 2, a walk that covers all n edges without revisiting one
+    rules out parallel edges and a second component."""
+    n = g.n
+    if n < 3 or g.q != n or set(map(len, g.incident)) != {2}:
+        return None
+    labels, v, e = [0] * n, 0, g.incident[0][0]
+    for x in c_labeling(n).labels:
+        labels[e] = x
+        a, b = g.edges[e]
+        v = b if a == v else a
+        a, b = g.incident[v]
+        e = b if a == e else a
+    if 0 in labels:  # the walk closed before n steps
+        return None
+    carried, source = EdgeLabeling(tuple(labels)), f"cycle labeling C_{n}"
+    certify(f"{source} carried onto the input", g, carried, frozenset(c_labeling_sums(n)))
+    return carried, source
 
-    A cycle is walked from vertex 0, step j taking the label of edge j of
-    ``c_labeling(n)``: the map ``are_isomorphic`` finds from C_n.  A
-    circulant is matched by isomorphism, step cycle i taking
-    ``c_labeling(n)`` translated by i·n, and certified on g like a cycle.
-    Step 1 loses no generality: the inverse of any step maps a circulant
-    onto an isomorphic one that has step 1.
+
+def _construction(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
+    """The library's 3-sum labeling of g and its source, when g is an
+    even-order circulant C_n(1, S) with odd steps; else None.
+
+    g is matched by isomorphism, step cycle i taking ``c_labeling(n)``
+    translated by i·n, and the carried labeling is certified on g.  Step 1
+    loses no generality: the inverse of any step maps a circulant onto an
+    isomorphic one that has step 1.
     """
     n = g.n
-    if n < 3 or not (g.is_regular() and g.is_simple()):
+    if n % 2 or not (g.is_regular() and g.degrees[0] % 2 == 0 and g.is_connected()
+                     and g.is_simple()):
         return None
-    d = g.degrees[0]
-    if d != 2 and (n % 2 or d % 2 or not g.is_connected()):
-        return None
-    base, labels = c_labeling(n).labels, [0] * g.q
-    if d == 2:
-        v, e = 0, g.incident[0][0]
-        for x in base:
-            labels[e] = x
-            a, b = g.edges[e]
-            v = b if a == v else a
-            a, b = g.incident[v]
-            e = b if a == e else a
-        if 0 in labels:  # the walk closed before n steps: g is not connected
-            return None
-        sums, source = frozenset(c_labeling_sums(n)), f"cycle labeling C_{n}"
+    d, base, labels = g.degrees[0], c_labeling(n).labels, [0] * g.q
+    odd = [a for a in range(3, n // 2, 2) if math.gcd(a, n) == 1]
+    for rest in combinations(odd, d // 2 - 1):
+        spec = CirculantSpec(n, (1, *rest))
+        built = build_circulant(spec)
+        mapping = are_isomorphic(built, g)
+        if mapping is not None:
+            break
     else:
-        odd = [a for a in range(3, n // 2, 2) if math.gcd(a, n) == 1]
-        for rest in combinations(odd, d // 2 - 1):
-            spec = CirculantSpec(n, (1, *rest))
-            built = build_circulant(spec)
-            mapping = are_isomorphic(built, g)
-            if mapping is not None:
-                break
-        else:
-            return None
-        position = {(min(u, v), max(u, v)): i for i, (u, v) in enumerate(g.edges)}
-        for i, (u, v) in enumerate(built.edges):
-            a, b = mapping[u], mapping[v]
-            labels[position[min(a, b), max(a, b)]] = base[i % n] + i // n * n
-        sums, source = circulant_colors(n // 2, len(rest)), f"circulant labeling C_{n}{spec.steps}"
-    carried = EdgeLabeling(tuple(labels))
-    certify(f"{source} carried onto the input", g, carried, sums)
+        return None
+    position = {(min(u, v), max(u, v)): i for i, (u, v) in enumerate(g.edges)}
+    for i, (u, v) in enumerate(built.edges):
+        a, b = mapping[u], mapping[v]
+        labels[position[min(a, b), max(a, b)]] = base[i % n] + i // n * n
+    carried, source = EdgeLabeling(tuple(labels)), f"circulant labeling C_{n}{spec.steps}"
+    certify(f"{source} carried onto the input", g, carried, circulant_colors(n // 2, len(rest)))
     return carried, source
 
 
@@ -330,6 +339,8 @@ def feasible_with_colors(
     even-order circulant with odd steps, the library's certified 3-sum
     labeling, and None for any k below the lower bound of ``exact_chi_la``."""
     search = _Search(g, budget or SearchBudget())
+    if (built := _cycle(g)) is not None:
+        return built[0] if k >= 3 else None
     if k >= 3 and (built := _construction(g)) is not None:
         return built[0]
     if k < _lower_bound(g)[0]:
@@ -342,22 +353,28 @@ def exact_chi_la(g: Graph, budget: Optional[SearchBudget] = None) -> OracleResul
     """Exact minimum number of induced sums over all local antimagic
     labelings, with a witness labeling and the bounds that settle it.
 
-    In order: the edge budget; the lower bound from one bipartition pass
-    (the chromatic number, χ ≤ χ_la by Arumugam et al. 2017, or 3 on a
-    connected graph that fails the two-sum conditions of
-    ``check_two_color_necessary``) or l + 1 for l >= 1 pendants where that
-    is higher; at 3, the certified 3-sum labeling of a cycle or an
-    even-order circulant with odd steps (the paper's result (ii)), which
-    meets it: no search runs and ``nodes`` is 0; only when no construction
-    meets it, the exact chromatic number of a graph that is not bipartite,
-    where it is higher; then the search, from the lower bound up until a
-    witness exists.  Raises ValueError if no labeling exists at all, which
-    among connected graphs happens only for K_2 (Haslegrave 2018).
+    In order: the edge budget; a cycle, settled by the walk of ``_cycle``
+    with no other pass over g (3 sums are needed: by the chromatic number
+    when n is odd, by the two-sum conditions when it is even); the lower
+    bound from the graph's one traversal (the chromatic number, χ ≤ χ_la by
+    Arumugam et al. 2017, or 3 on a connected graph that fails the two-sum
+    conditions of ``check_two_color_necessary``) or l + 1 for l >= 1
+    pendants where that is higher; at 3, the certified 3-sum labeling of an
+    even-order circulant with odd steps (the paper's result (ii)); the
+    exact chromatic number of a graph that is not bipartite, where it is
+    higher; then the search, from the lower bound up until a witness
+    exists.  A construction that meets the bound settles it: no search runs
+    and ``nodes`` is 0.  Raises ValueError if no labeling exists at all,
+    which among connected graphs happens only for K_2 (Haslegrave 2018).
     """
     start = time.perf_counter()
     search = _Search(g, budget or SearchBudget())
-    lower, lower_source, bipartite = _lower_bound(g)
-    if lower == 3 and (built := _construction(g)) is not None:
+    if (built := _cycle(g)) is not None:
+        lower, lower_source = 3, "chromatic number" if g.n % 2 else "two-sum conditions"
+    else:
+        lower, lower_source, bipartite = _lower_bound(g)
+        built = _construction(g) if lower == 3 else None
+    if built is not None:
         return OracleResult(3, built[0], 0, time.perf_counter() - start,
                             Bounds(3, lower_source, 3, built[1]))
     if not bipartite:

@@ -205,6 +205,27 @@ def test_oracle_budget_exit(capsys, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag,value", [("--max-edges", "-5"), ("--colors", "-1")])
+def test_oracle_refuses_a_negative_count_as_usage(capsys, monkeypatch, flag, value):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document(build_cycle(5)))))
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "chi-la", flag, value])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: antimagic")
+    assert "--max-edges and --colors take non-negative integers" in captured.err
+
+
+def test_oracle_names_a_malformed_budget_variable(capsys, monkeypatch):
+    monkeypatch.setenv(oracle.BUDGET_ENV, "abc")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document(build_cycle(5)))))
+    assert main(["oracle", "chi-la"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {oracle.BUDGET_ENV} must be a non-negative integer, "
+                            "got 'abc'\n")
+
+
 def test_export_roundtrip_identity(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, ["label", "c", "--m", "7"])
     code, out2 = run_cli(capsys, monkeypatch, ["export", "json"], stdin=out)

@@ -404,9 +404,9 @@ def _edge_moved(g: Graph, rng: random.Random) -> Graph:
 
 
 def test_bipartition_and_isomorphism_agree_with_networkx():
-    # The oracle's lower bound reads bipartiteness off partite_classes, and
-    # its circulant bound rests on are_isomorphic: both against networkx,
-    # on multigraphs and on disconnected unions of two.
+    # The oracle's lower bound reads bipartiteness and connectivity off one
+    # traversal, and its circulant bound rests on are_isomorphic: all three
+    # against networkx, on multigraphs and on disconnected unions of two.
     nx = pytest.importorskip("networkx")
     rng = random.Random(20201010)
     graphs = [random_connected_multigraph(rng, rng.randrange(1, 10)) for _ in range(300)]
@@ -417,6 +417,12 @@ def test_bipartition_and_isomorphism_agree_with_networkx():
         mg = _nx_multigraph(nx, g)
         bipartite = partite_classes(g, 2) is not None
         assert bipartite == nx.is_bipartite(mg), g.edges
+        if bipartite:
+            side = set(partite_classes(g, 2)[0])
+            assert all((u in side) != (v in side) for u, v in g.edges), g.edges
+        assert (sorted(map(sorted, g.components))
+                == sorted(map(sorted, nx.connected_components(mg)))), g.edges
+        assert g.is_connected() == nx.is_connected(mg)
         copy = shuffled(g, rng)
         assert are_isomorphic(g, copy) is not None
         assert nx.is_isomorphic(mg, _nx_multigraph(nx, copy))

@@ -24,7 +24,8 @@ from local_antimagic import (
 )
 from local_antimagic import circulants, graphs, labelings, oracle
 from local_antimagic.labelings import certify
-from local_antimagic.oracle import BUDGET_ENV, Bounds, _construction, _lower_bound, _Search
+from local_antimagic.oracle import (BUDGET_ENV, Bounds, _construction, _cycle, _lower_bound,
+                                    _Search)
 from local_antimagic.reproduce import counterexample_graph
 
 from conftest import DATA, random_connected_graph, random_connected_multigraph, shuffled
@@ -175,6 +176,14 @@ def test_budget_env_override(monkeypatch):
     assert SearchBudget().max_edges == 4
     monkeypatch.delenv(BUDGET_ENV)
     assert SearchBudget().max_edges == 10
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5", "4.5"])
+def test_budget_env_must_be_a_non_negative_integer(monkeypatch, raw):
+    monkeypatch.setenv(BUDGET_ENV, raw)
+    with pytest.raises(ValueError, match=f"^{BUDGET_ENV} must be a non-negative integer"):
+        SearchBudget()
+    assert SearchBudget(max_edges=4).max_edges == 4
 
 
 def test_node_limit():
@@ -422,7 +431,7 @@ def test_other_graphs_are_searched_or_refused_as_before():
     triangles = Graph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
     double_edge = Graph(2, ((0, 1), (0, 1)))
     for g in (double_edge, triangles, complete_bipartite(3, 3), counterexample_graph()):
-        assert _construction(g) is None
+        assert _cycle(g) is None and _construction(g) is None
     with pytest.raises(ValueError, match="no local antimagic"):
         exact_chi_la(double_edge)
     for g in (triangles, complete_bipartite(3, 3), counterexample_graph()):
@@ -434,6 +443,52 @@ def test_other_graphs_are_searched_or_refused_as_before():
     assert feasible_with_colors(triangles, 2, SearchBudget(node_limit=0)) is None
     # Three isolated vertices share one sum, 0, so no labeling has 0 sums.
     assert feasible_with_colors(Graph(3, ()), 0) is None
+
+
+def test_two_regular_graphs_that_are_not_one_cycle_fall_through():
+    # Pinned before cycles were walked ahead of the bipartition pass: each
+    # of these has every degree 2, and each is searched or refused as then.
+    triangles = Graph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
+    two_squares = Graph(8, ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)))
+    double_edge = Graph(2, ((0, 1), (0, 1)))
+    pinned = [
+        (triangles, 4, (1, 6, 2, 3, 5, 4), 462, Bounds(3, "chromatic number", 4, "search witness"),
+         [(3, 426), (4, 36)]),
+        (two_squares, 3, (1, 8, 5, 4, 2, 7, 6, 3), 331,
+         Bounds(2, "chromatic number", 3, "search witness"), [(2, 200), (3, 131)]),
+    ]
+    for g, value, witness, nodes, bounds, searches in pinned:
+        assert _cycle(g) is None
+        result = exact_chi_la(g)
+        assert (result.value, result.witness.labels, result.nodes, result.bounds) == (
+            value, witness, nodes, bounds)
+        assert [(run.k, run.nodes) for run in result.searches] == searches
+        found = feasible_with_colors(g, 3)
+        assert (found and found.labels) == (witness if value == 3 else None)
+        assert feasible_with_colors(g, value).labels == witness
+    assert _cycle(double_edge) is None
+    with pytest.raises(ValueError, match="no local antimagic"):
+        exact_chi_la(double_edge)
+    assert all(feasible_with_colors(double_edge, k) is None for k in range(5))
+
+
+def test_cycles_settle_before_any_bipartition_or_isomorphism(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called on a cycle")
+
+    for module in (graphs, labelings, oracle):
+        for name in ("partite_classes", "check_two_color_necessary", "are_isomorphic"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for m, lower in ((11, "chromatic number"), (12, "two-sum conditions")):
+        g = shuffled(build_cycle(m), random.Random(m))
+        budget = SearchBudget(max_edges=m, node_limit=0)
+        result = exact_chi_la(g, budget)
+        assert result.nodes == 0
+        assert result.bounds == Bounds(3, lower, 3, f"cycle labeling C_{m}")
+        assert feasible_with_colors(g, 3, budget) == result.witness
+        assert feasible_with_colors(g, 2, budget) is None
+        assert "adjacency" not in g.__dict__ and "_traversal" not in g.__dict__
 
 
 PINNED_CIRCULANTS = [(10, (1, 3)), (12, (1, 5)), (8, (1, 3)), (14, (1, 3)), (14, (1, 5)),
@@ -504,13 +559,14 @@ def test_bounds_path_builds_and_certifies_only_what_it_needs(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     searched = []
-    components = Graph.components.func
-    monkeypatch.setattr(Graph.components, "func",
-                        lambda graph: searched.append(graph) or components(graph))
+    traversal = Graph._traversal.func
+    monkeypatch.setattr(Graph._traversal, "func",
+                        lambda graph: searched.append(graph) or traversal(graph))
     g = shuffled(build_circulant(CirculantSpec(10, (1, 3))), random.Random(8))
     result = exact_chi_la(g, SearchBudget(max_edges=g.q, node_limit=0))
     assert result.bounds.upper_source == "circulant labeling C_10(1, 3)"
     assert sorted(calls) == ["build_circulant", "certify"]
-    # One breadth-first search of the input serves both connectivity checks;
-    # the other orders the built circulant for the isomorphism search.
+    # One breadth-first search of the input serves the bipartition and both
+    # connectivity checks; the other orders the built circulant for the
+    # isomorphism search.
     assert len(searched) == 2 and searched[0] is g and searched[1] is not g
