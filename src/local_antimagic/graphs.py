@@ -90,12 +90,6 @@ class Graph:
             adj[v][u] = adj[v].get(u, 0) + 1
         return tuple(adj)
 
-    def neighbors(self, v: int) -> set[int]:
-        return set(self.adjacency[v])
-
-    def multiplicity(self, u: int, v: int) -> int:
-        return self.adjacency[u].get(v, 0)
-
     def is_simple(self) -> bool:
         return all(m == 1 for adj in self.adjacency for m in adj.values())
 
@@ -131,9 +125,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return len(self.components) <= 1
-
-    def pendant_count(self) -> int:
-        return sum(1 for d in self.degrees if d == 1)
 
     def vertex_name(self, v: int) -> str:
         return "v" + ",".join(self.provenance[v])
@@ -364,22 +355,24 @@ def delete_edge(g: Graph, e: int) -> Graph:
     return Graph(g.n, g.edges[:e] + g.edges[e + 1 :], partial(_provenance, g.n, g._names))
 
 
-def first_coloring(g: Graph, k: int) -> Optional[list[int]]:
-    """The lexicographically first proper k-coloring over the vertices
-    taken highest degree first, as a color per vertex, or None if there
-    is none.  Backtracks on an explicit stack so that long cycles stay
-    within the recursion limit."""
-    order = sorted(range(g.n), key=lambda v: -g.degrees[v])
+def first_coloring(g: Graph, k: int, vertices=None) -> Optional[dict[int, int]]:
+    """The lexicographically first proper k-coloring of the vertices, or
+    of those in ``vertices`` (say, a component), taken highest degree
+    first and on ties in the order given, as a color per vertex, or None
+    if there is none.  Backtracks on an explicit stack so that long cycles
+    stay within the recursion limit."""
+    order = sorted(range(g.n) if vertices is None else vertices, key=lambda v: -g.degrees[v])
     # Depth i colors order[i]: tried[i] is its current color, used[i]
     # the colors in use before it.  Trying at most one fresh color kills
     # color-permutation symmetry and keeps the lexicographically first
     # coloring: swapping two colors unused so far only moves it later.
-    color, tried, used = [-1] * g.n, [-1] * g.n, [0] * (g.n + 1)
+    n = len(order)
+    color, tried, used = dict.fromkeys(order, -1), [-1] * n, [0] * (n + 1)
     i = 0
-    while 0 <= i < g.n:
+    while 0 <= i < n:
         v = order[i]
         color[v] = -1
-        taken = {color[w] for w in g.adjacency[v]}
+        taken = {color.get(w) for w in g.adjacency[v]}
         fresh = min(used[i] + 1, k)
         c = next((x for x in range(tried[i] + 1, fresh) if x not in taken), -1)
         tried[i] = c
@@ -389,7 +382,7 @@ def first_coloring(g: Graph, k: int) -> Optional[list[int]]:
             color[v] = c
             used[i + 1] = max(used[i], c + 1)
             i += 1
-    return color if i == g.n else None
+    return color if i == n else None
 
 
 def partite_classes(g: Graph, k: int) -> Optional[list[list[int]]]:

@@ -209,7 +209,7 @@ def check_two_color_necessary(g: Graph) -> TwoColorVerdict:
     dividing (q+1 choose 2); an even number of edges with a pendant, or
     two or more pendants, rules 2 colors out entirely.
     """
-    q, parts, pendants = g.q, partite_classes(g, 2), g.pendant_count()
+    q, parts, pendants = g.q, partite_classes(g, 2), g.degrees.count(1)
     if parts is None:
         return TwoColorVerdict(False, None, False, False, pendants, False, False)
     sizes = (len(parts[0]), len(parts[1]))

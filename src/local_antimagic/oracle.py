@@ -1,18 +1,14 @@
 """Exact minimum color count: bounds first, then exhaustive labeling search.
 
 Intended for cross-checking the constructive labelings on small graphs.
-``exact_chi_la`` takes, in order: a hard edge budget (raise it explicitly,
-or via the ANTIMAGIC_BUDGET_EDGES environment variable, when you mean it);
-a walk that settles a cycle with its certified labeling; the lower bound
-from the graph's one traversal (components and 2-coloring) and the
-pendant count; an even-order circulant's certified labeling, matched by
-isomorphism (the paper's result (ii)); the exact chromatic number only
-when no construction meets the bound; and a search only where the bounds
-do not meet.  The search is one iterative loop, so its depth has no
-recursion limit.  It labels edge by edge in a vertex-clustering order,
-prunes on adjacent completed-sum ties, and bounds by the distinct sums
-frozen: a depth that completes more vertices than new sums still fit
-tries only the labels that land one on a sum in use.
+``exact_chi_la`` and ``feasible_with_colors`` check a hard edge budget
+(raise it explicitly, or via the ANTIMAGIC_BUDGET_EDGES environment
+variable, when you mean it), then take the bounds of ``_bounds``, and
+search only where they do not meet.  The search is one iterative loop, so
+its depth has no recursion limit.  It labels edge by edge in a
+vertex-clustering order, prunes on adjacent completed-sum ties, and bounds
+by the distinct sums frozen: a depth that completes more vertices than new
+sums still fit tries only the labels that land one on a sum in use.
 """
 
 from __future__ import annotations
@@ -26,8 +22,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .circulants import c_labeling, c_labeling_sums, circulant_colors
-from .graphs import (CirculantSpec, Graph, are_isomorphic, build_circulant, first_coloring,
-                     partite_classes)
+from .graphs import CirculantSpec, Graph, are_isomorphic, build_circulant, first_coloring
 from .labelings import EdgeLabeling, certify, check_two_color_necessary
 
 
@@ -84,46 +79,15 @@ class OracleResult:
 
 def chromatic_number(g: Graph) -> int:
     """The least k with a proper k-coloring; k <= 2 is read off the
-    bipartition, and each component is colored on its own."""
-    parts = partite_classes(g, 2)
-    if parts is not None:
-        return sum(1 for part in parts if part)
-    pieces = [g]
-    if len(g.components) > 1:
-        which, rank = [0] * g.n, [0] * g.n
-        for c, component in enumerate(g.components):
-            for i, v in enumerate(component):
-                which[v], rank[v] = c, i
-        edges: list[list[tuple[int, int]]] = [[] for _ in g.components]
-        for u, v in g.edges:
-            edges[which[u]].append((rank[u], rank[v]))
-        pieces = [Graph(len(c), tuple(e)) for c, e in zip(g.components, edges)]
+    graph's 2-coloring, and each component is colored on its own."""
+    color = g._traversal[1]
+    if color is not None:
+        return len(set(color))
     k = 3
-    for piece in pieces:
-        while first_coloring(piece, k) is None:
+    for component in g.components:
+        while first_coloring(g, k, component) is None:
             k += 1
     return k
-
-
-def _lower_bound(g: Graph) -> tuple[int, str, bool]:
-    """A lower bound on χ_la, its source and whether g is bipartite, from
-    the graph's one traversal: 3 by the chromatic number when g is not
-    bipartite (χ may be higher), 3 by the two-sum conditions, else χ <= 2
-    read off the partition; and l + 1 by its l >= 1 pendants where that is
-    higher.  The pendants' sums are their distinct labels, and the edge
-    labelled q has an end of degree at least 2 (else it is a K_2 and no
-    labeling exists), whose sum exceeds q."""
-    verdict = check_two_color_necessary(g)
-    if not verdict.bipartite:
-        lower, source = 3, "chromatic number"
-    elif g.q and not verdict.two_colors_possible and g.is_connected():
-        lower, source = 3, "two-sum conditions"
-    else:
-        lower, source = sum(1 for size in verdict.part_sizes if size), "chromatic number"
-    pendants = verdict.pendant_count
-    if pendants and pendants + 1 > lower:
-        lower, source = pendants + 1, "pendants"
-    return lower, source, verdict.bipartite
 
 
 def _cycle(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
@@ -179,6 +143,43 @@ def _construction(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
     carried, source = EdgeLabeling(tuple(labels)), f"circulant labeling C_{n}{spec.steps}"
     certify(f"{source} carried onto the input", g, carried, circulant_colors(n // 2, len(rest)))
     return carried, source
+
+
+def _bounds(g: Graph, k: int) -> tuple[int, str, Optional[tuple[EdgeLabeling, str]]]:
+    """A lower bound on χ_la and its source, and the library's certified
+    3-sum labeling of g with its source where one meets it, else None.  In
+    order: a cycle settled by the walk of ``_cycle``, with no other pass
+    over g (3 sums: by the chromatic number when n is odd, by the two-sum
+    conditions when it is even); from the graph's one traversal, 3 by the
+    chromatic number when g is not bipartite (χ <= χ_la, Arumugam et al.
+    2017), 3 on a connected graph that fails the two-sum conditions of
+    ``check_two_color_necessary``, else χ <= 2 read off the partition, and
+    l + 1 by l >= 1 pendants where that is higher (their sums are their
+    distinct labels, and the edge labelled q has an end of degree at least
+    2 whose sum exceeds q, unless g is K_2, which has no labeling,
+    Haslegrave 2018); at 3, the 3-sum labeling of an even-order circulant
+    with odd steps (the paper's result (ii)); then the exact chromatic
+    number of a graph that is not bipartite, where it is higher.  Neither a
+    construction nor χ is sought once the bound exceeds k."""
+    if (built := _cycle(g)) is not None:
+        return 3, "chromatic number" if g.n % 2 else "two-sum conditions", built
+    verdict = check_two_color_necessary(g)
+    if not verdict.bipartite:
+        lower, source = 3, "chromatic number"
+    elif g.q and not verdict.two_colors_possible and g.is_connected():
+        lower, source = 3, "two-sum conditions"
+    else:
+        lower, source = sum(1 for size in verdict.part_sizes if size), "chromatic number"
+    pendants = verdict.pendant_count
+    if pendants and pendants + 1 > lower:
+        lower, source = pendants + 1, "pendants"
+    if lower > k:
+        return lower, source, None
+    if lower == 3 and (built := _construction(g)) is not None:
+        return lower, source, built
+    if not verdict.bipartite and (chi := chromatic_number(g)) > lower:
+        lower, source = chi, "chromatic number"
+    return lower, source, None
 
 
 class _Search:
@@ -335,16 +336,15 @@ def feasible_with_colors(
 ) -> Optional[EdgeLabeling]:
     """A local antimagic labeling of g with at most k distinct sums, or
     None after an exhaustive search finds none.  Neither answer needs a
-    search when the bounds settle it: for k >= 3 on a cycle or an
-    even-order circulant with odd steps, the library's certified 3-sum
-    labeling, and None for any k below the lower bound of ``exact_chi_la``."""
+    search when the bounds of ``_bounds`` settle it: None for any k below
+    the lower bound, else the library's certified 3-sum labeling where
+    one meets it."""
     search = _Search(g, budget or SearchBudget())
-    if (built := _cycle(g)) is not None:
-        return built[0] if k >= 3 else None
-    if k >= 3 and (built := _construction(g)) is not None:
-        return built[0]
-    if k < _lower_bound(g)[0]:
+    lower, _, built = _bounds(g, k)
+    if k < lower:
         return None
+    if built is not None:
+        return built[0]
     found = search.run(k)
     return EdgeLabeling(tuple(found)) if found is not None else None
 
@@ -353,34 +353,17 @@ def exact_chi_la(g: Graph, budget: Optional[SearchBudget] = None) -> OracleResul
     """Exact minimum number of induced sums over all local antimagic
     labelings, with a witness labeling and the bounds that settle it.
 
-    In order: the edge budget; a cycle, settled by the walk of ``_cycle``
-    with no other pass over g (3 sums are needed: by the chromatic number
-    when n is odd, by the two-sum conditions when it is even); the lower
-    bound from the graph's one traversal (the chromatic number, χ ≤ χ_la by
-    Arumugam et al. 2017, or 3 on a connected graph that fails the two-sum
-    conditions of ``check_two_color_necessary``) or l + 1 for l >= 1
-    pendants where that is higher; at 3, the certified 3-sum labeling of an
-    even-order circulant with odd steps (the paper's result (ii)); the
-    exact chromatic number of a graph that is not bipartite, where it is
-    higher; then the search, from the lower bound up until a witness
-    exists.  A construction that meets the bound settles it: no search runs
-    and ``nodes`` is 0.  Raises ValueError if no labeling exists at all,
-    which among connected graphs happens only for K_2 (Haslegrave 2018).
+    After the edge budget, the bounds of ``_bounds``: a construction that
+    meets the lower bound settles it, so no search runs and ``nodes`` is
+    0.  Else the search runs from the lower bound up until a witness
+    exists.  Raises ValueError if no labeling exists at all.
     """
     start = time.perf_counter()
     search = _Search(g, budget or SearchBudget())
-    if (built := _cycle(g)) is not None:
-        lower, lower_source = 3, "chromatic number" if g.n % 2 else "two-sum conditions"
-    else:
-        lower, lower_source, bipartite = _lower_bound(g)
-        built = _construction(g) if lower == 3 else None
+    lower, lower_source, built = _bounds(g, g.n)
     if built is not None:
         return OracleResult(3, built[0], 0, time.perf_counter() - start,
                             Bounds(3, lower_source, 3, built[1]))
-    if not bipartite:
-        chi = chromatic_number(g)
-        if chi > lower:
-            lower, lower_source = chi, "chromatic number"
     for k in range(lower, g.n + 1):
         found = search.run(k)
         if found is not None:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -24,15 +25,19 @@ import local_antimagic.circulants as circulants
 import local_antimagic.cycle_merge as cycle_merge
 import local_antimagic.oracle as oracle
 from local_antimagic import (
+    CirculantSpec,
     EdgeLabeling,
     Graph,
     UnionSpec,
+    build_circulant,
     build_cycle,
     c_labeling,
     case_plan,
     merge_vertices,
     union_graph,
 )
+
+from conftest import shuffled
 
 
 def run_cli(capsys, monkeypatch, args, stdin=None):
@@ -349,22 +354,33 @@ def test_broken_cycle_labeling_exits_3(capsys, monkeypatch, module, args, stdin,
 
 
 def test_oracle_certifies_its_construction_under_optimize():
+    # A broken cycle labeling reaches both construction branches: the cycle
+    # walk, and the circulant carried onto a shuffled C_10(1,3).
     code = (
+        "import sys\n"
         "import local_antimagic.oracle as oracle\n"
         "from local_antimagic import EdgeLabeling\n"
         "oracle.c_labeling = lambda m: EdgeLabeling((1, 1, *range(3, m + 1)))\n"
         "from local_antimagic.cli import main\n"
-        "raise SystemExit(main(['oracle', 'chi-la']))\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
-        input=json.dumps(document(build_cycle(7))), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith(
-        "certification failed: cycle labeling C_7 carried onto the input: "
-        "labeling must be a bijection onto 1..7")
+    circulant = shuffled(build_circulant(CirculantSpec(10, (1, 3))), random.Random(8))
+    cases = [
+        (build_cycle(7), [], "cycle labeling C_7"),
+        (circulant, ["--max-edges", "20"], "circulant labeling C_10(1, 3)"),
+        (circulant, ["--max-edges", "20", "--colors", "3"], "circulant labeling C_10(1, 3)"),
+    ]
+    for g, args, source in cases:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code, "oracle", "chi-la", *args],
+            env=dict(os.environ, PYTHONPATH=src), input=json.dumps(document(g)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, (args, proc.stderr)
+        assert proc.stderr.startswith(
+            f"certification failed: {source} carried onto the input: "
+            f"labeling must be a bijection onto 1..{g.q}"), args
 
 
 def test_union_input_with_a_repeated_label_exits_2(capsys, monkeypatch):

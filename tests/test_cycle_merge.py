@@ -86,13 +86,8 @@ def test_transform_profiles(case, k):
         assert partite_classes(g, 3) is not None
     if case in (3, 4):
         # The special merge creates a triangle through the merged vertex.
-        triangle = any(
-            g.multiplicity(u, w) > 0
-            for u in range(g.n)
-            for v in g.neighbors(u)
-            for w in g.neighbors(v)
-            if w in g.neighbors(u)
-        )
+        adj = g.adjacency
+        triangle = any(w in adj[u] for u in range(g.n) for v in adj[u] for w in adj[v])
         assert triangle
 
 

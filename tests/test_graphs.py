@@ -61,7 +61,7 @@ def test_no_loops_or_bad_edges():
 def test_parallel_edges_allowed():
     g = Graph(2, ((0, 1), (0, 1)))
     assert not g.is_simple()
-    assert g.multiplicity(0, 1) == 2
+    assert g.adjacency[0] == {1: 2}
     assert g.degrees == (2, 2)
 
 

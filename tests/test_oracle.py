@@ -24,8 +24,7 @@ from local_antimagic import (
 )
 from local_antimagic import circulants, graphs, labelings, oracle
 from local_antimagic.labelings import certify
-from local_antimagic.oracle import (BUDGET_ENV, Bounds, _construction, _cycle, _lower_bound,
-                                    _Search)
+from local_antimagic.oracle import BUDGET_ENV, Bounds, _bounds, _construction, _cycle, _Search
 from local_antimagic.reproduce import counterexample_graph
 
 from conftest import DATA, random_connected_graph, random_connected_multigraph, shuffled
@@ -72,24 +71,32 @@ def test_chromatic_number_reads_two_colors_off_the_bipartition():
 def test_chromatic_number_colors_each_component_on_its_own(monkeypatch):
     # s disjoint stars K_{1,3}, then a K_4: colouring the whole graph at
     # once backtracks across the stars' centres, about 3x per star.  Each
-    # component is coloured on its own, once at each k it is tried at.
-    colored = []
+    # component is coloured on its own, in place, once at each k it is
+    # tried at.
+    colored, built = [], []
     real = oracle.first_coloring
     monkeypatch.setattr(oracle, "first_coloring",
-                        lambda part, k: colored.append((part, k)) or real(part, k))
+                        lambda g, k, vertices: colored.append((vertices, k)) or real(g, k, vertices))
     k4 = tuple((u, v) for u in range(4) for v in range(u + 1, 4))
+    graphs = []
     for s in (4, 8, 11):
         stars = tuple((c, c + i) for c in range(0, 4 * s, 4) for i in (1, 2, 3))
-        g = Graph(4 * s + 4, stars + tuple((4 * s + u, 4 * s + v) for u, v in k4))
+        graphs.append(Graph(4 * s + 4, stars + tuple((4 * s + u, 4 * s + v) for u, v in k4)))
+    init = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda *args: built.append(args) or init(*args))
+    for g in graphs:
         colored.clear()
         assert chromatic_number(g) == 4
-        assert [(part.n, k) for part, k in colored] == [(4, 3)] * s + [(4, 3), (4, 4)]
-    # A connected graph is coloured as it is, not as a copy.
+        *stars, clique = g.components
+        assert colored == [(c, 3) for c in stars] + [(clique, 3), (clique, 4)]
+    assert built == []  # no component is copied into a Graph of its own
+    monkeypatch.setattr(Graph, "__init__", init)
+    # A connected graph is coloured as its one component.
     spokes, rim = ((0, v) for v in range(1, 6)), ((v, v % 5 + 1) for v in range(1, 6))
     wheel = Graph(6, (*spokes, *rim))
     colored.clear()
     assert chromatic_number(wheel) == 4
-    assert [(part is wheel, k) for part, k in colored] == [(True, 3), (True, 4)]
+    assert colored == [(wheel.components[0], 3), (wheel.components[0], 4)]
     # The largest need may come from any component, bipartite ones included.
     triangle, square = ((0, 1), (1, 2), (2, 0)), ((3, 4), (4, 5), (5, 6), (6, 3))
     assert chromatic_number(Graph(7, triangle + square)) == 3
@@ -105,22 +112,39 @@ def test_pendant_bound_counts_the_pendants_and_one_more(monkeypatch):
     monkeypatch.setattr(oracle, "chromatic_number", None)
     for s in range(3, 7):
         star = Graph(s + 1, tuple((0, v) for v in range(1, s + 1)))
-        assert _lower_bound(star) == (s + 1, "pendants", True)
+        assert _bounds(star, star.n) == (s + 1, "pendants", None)
         result = exact_chi_la(star)
         assert result.bounds == Bounds(s + 1, "pendants", s + 1, "search witness")
         assert [run.k for run in result.searches] == [s + 1]
         assert feasible_with_colors(star, s, SearchBudget(node_limit=0)) is None
     monkeypatch.undo()
     # A bound that is not higher keeps the old source.
-    assert _lower_bound(Graph(3, ((0, 1), (1, 2)))) == (3, "two-sum conditions", True)
-    triangle_and_pendant = Graph(4, ((0, 1), (1, 2), (2, 0), (0, 3)))
-    assert _lower_bound(triangle_and_pendant) == (3, "chromatic number", False)
+    path = Graph(3, ((0, 1), (1, 2)))
+    assert _bounds(path, path.n) == (3, "two-sum conditions", None)
+    paw = Graph(4, ((0, 1), (1, 2), (2, 0), (0, 3)))  # a triangle and a pendant
+    assert _bounds(paw, paw.n) == (3, "chromatic number", None)
     # A triangle with a pendant at each vertex: χ = 3 is not higher, so
     # "pendants" stays after the chromatic number is taken.
     net = Graph(6, ((0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)))
-    assert _lower_bound(net) == (4, "pendants", False)
+    assert _bounds(net, net.n) == (4, "pendants", None)
     bounds = exact_chi_la(net).bounds
     assert (bounds.lower, bounds.lower_source) == (4, "pendants")
+
+
+def test_bounds_stop_past_k_and_refute_below_the_chromatic_number(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sought past k")
+
+    k4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
+    monkeypatch.setattr(oracle, "_construction", refuse)
+    monkeypatch.setattr(oracle, "chromatic_number", refuse)
+    assert _bounds(complete_bipartite(4, 4), 2) == (3, "two-sum conditions", None)
+    assert _bounds(k4, 2) == (3, "chromatic number", None)
+    monkeypatch.undo()
+    # χ(K_4) = 4 > 3 refutes k = 3 with no search, so a node cap of 0 is
+    # never hit.
+    assert _bounds(k4, 3) == (4, "chromatic number", None)
+    assert feasible_with_colors(k4, 3, SearchBudget(node_limit=0)) is None
 
 
 @pytest.mark.parametrize("m", range(3, 8))
@@ -529,6 +553,17 @@ def test_oracle_outputs_are_pinned():
     for pin, (name, g) in zip(pins, pinned):
         assert (g.n, [list(e) for e in g.edges]) == (pin["n"], pin["edges"]), name
         assert oracle_pin(g) == pin["result"], name
+
+
+def test_feasibility_agrees_with_the_pinned_values():
+    # feasible_with_colors shares exact_chi_la's bounds: at the pinned
+    # value it gives the pinned witness, and one below it gives None.
+    pins = json.loads((DATA / "oracle_pins.json").read_text())
+    for pin, (name, g) in zip(pins, oracle_pin_graphs()):
+        budget, value = SearchBudget(max_edges=g.q), pin["result"]["value"]
+        found = feasible_with_colors(g, value, budget)
+        assert list(found.labels) == pin["result"]["witness"], name
+        assert feasible_with_colors(g, value - 1, budget) is None, name
 
 
 def test_bounds_path_builds_and_certifies_only_what_it_needs(monkeypatch):
