@@ -73,7 +73,7 @@ def circulant_labeling(spec: CirculantSpec) -> tuple[Graph, EdgeLabeling]:
     base = c_labeling(m)
     labels: list[int] = []
     for i in range(len(spec.steps)):
-        labels.extend(x + i * m for x in base.labels)
+        labels += map((i * m).__add__, base.labels)
     labeling = EdgeLabeling(tuple(labels))
     expected = circulant_colors(m // 2, len(spec.steps) - 1)
     certify(f"combined labeling of {spec}", graph, labeling, expected)
@@ -179,8 +179,8 @@ def labeling_matrix_view(g: Graph, f: EdgeLabeling) -> LabelingMatrixView:
     if not g.is_simple():
         raise ValueError("labeling matrix is ambiguous on parallel edges")
     entries: list[list[Optional[int]]] = [[None] * g.n for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
-        entries[u][v] = f[i]
-        entries[v][u] = f[i]
+    for (u, v), x in zip(g._pairs(), f.labels):
+        entries[u][v] = x
+        entries[v][u] = x
     row_sums = tuple(sum(x for x in row if x is not None) for row in entries)
     return LabelingMatrixView(tuple(tuple(r) for r in entries), row_sums)

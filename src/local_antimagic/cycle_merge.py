@@ -14,6 +14,8 @@ vertex, and cycle edge j keeps its label in the cell holding its ends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import is_not
 from typing import Optional
 
 from .graphs import (
@@ -21,9 +23,10 @@ from .graphs import (
     CirculantSpec,
     Graph,
     MergePlan,
+    _circulant_part,
+    _cycle_part,
+    _merged_part,
     build_circulant,
-    build_cycle,
-    merge_vertices,
     sorted_edge_keys,
     verify_vertex_map,
 )
@@ -32,12 +35,14 @@ from .labelings import EdgeLabeling, certify
 
 
 def case_plan(case: int, k: int) -> MergePlan:
-    """The named merge plan for C_n, transcribed literally.
+    """The named merge plan for C_n; ``_run(count, a, b)`` is the run of
+    blocks (a + 2i, b + 2i) for i < count.
 
     Case order forms: 1: n=8k, 2: n=8k+4, 3: n=8k+2, 4: n=8k+6,
     5: n=8k+1, 6: n=8k+5, 7: n=8k+3, 8: n=8k+7; all need k >= 2.
     Cases 1-4 produce 4-regular graphs; 5-6 keep one degree-2 vertex;
-    7-8 merge a triple into one degree-6 vertex.
+    7-8 merge a triple into one degree-6 vertex.  Every block is a sorted
+    int tuple, so the plan takes no per-block conversion.
     """
     if k < 2:
         raise ValueError(f"case plans require k >= 2, got {k}")
@@ -46,58 +51,54 @@ def case_plan(case: int, k: int) -> MergePlan:
     c_blocks: list[tuple[int, ...]] = []
     if case == 1:
         n = 8 * k
-        a_blocks = [(2 * i, 4 * k + 2 * i) for i in range(2 * k)]
-        b_blocks = [
-            (2 * j + 1, 2 * k + 2 * j + 1)
-            for j in list(range(k)) + list(range(2 * k, 3 * k))
-        ]
+        a_blocks = _run(2 * k, 0, 4 * k)
+        b_blocks = _run(k, 1, 2 * k + 1) + _run(k, 4 * k + 1, 6 * k + 1)
     elif case == 2:
         n = 8 * k + 4
-        a_blocks = [(2 * i, 4 * k + 2 * i + 2) for i in range(2 * k + 1)]
-        b_blocks = [(2 * j + 1, 2 * k + 2 * j + 3) for j in range(k + 1)]
-        b_blocks += [(4 * k + 2 * j + 5, 6 * k + 2 * j + 5) for j in range(k)]
+        a_blocks = _run(2 * k + 1, 0, 4 * k + 2)
+        b_blocks = _run(k + 1, 1, 2 * k + 3) + _run(k, 4 * k + 5, 6 * k + 5)
     elif case == 3:
         n = 8 * k + 2
-        a_blocks = [(2 * i, 4 * k + 2 * i) for i in range(1, 2 * k + 1)]
-        b_blocks = [(2 * j + 1, 4 * k + 2 * j + 3) for j in range(2 * k)]
+        a_blocks = _run(2 * k, 2, 4 * k + 2)
+        b_blocks = _run(2 * k, 1, 4 * k + 3)
         c_blocks = [(0, 4 * k + 1)]
     elif case == 4:
         n = 8 * k + 6
-        a_blocks = [(2 * i, 4 * k + 2 + 2 * i) for i in range(1, 2 * k + 2)]
-        b_blocks = [(2 * j + 1, 6 * k + 5 + 2 * j) for j in range(k + 1)]
-        b_blocks += [(2 * k + 3 + 2 * j, 4 * k + 5 + 2 * j) for j in range(k)]
+        a_blocks = _run(2 * k + 1, 2, 4 * k + 4)
+        b_blocks = _run(k + 1, 1, 6 * k + 5) + _run(k, 2 * k + 3, 4 * k + 5)
         c_blocks = [(0, 4 * k + 3)]
     elif case == 5:
         n = 8 * k + 1
-        a_blocks = [(2 * i, 4 * k + 2 * i) for i in range(1, 2 * k + 1)]
-        b_blocks = [(2 * j + 1, 2 * k + 2 * j + 1) for j in range(k)]
-        b_blocks += [(4 * k + 2 * j + 1, 6 * k + 2 * j + 1) for j in range(k)]
+        a_blocks = _run(2 * k, 2, 4 * k + 2)
+        b_blocks = _run(k, 1, 2 * k + 1) + _run(k, 4 * k + 1, 6 * k + 1)
         c_blocks = [(0,)]
     elif case == 6:
         n = 8 * k + 5
-        a_blocks = [(2 * i, 4 * k + 2 + 2 * i) for i in range(1, 2 * k + 2)]
-        b_blocks = [(2 * j + 1, 6 * k + 3 + 2 * j) for j in range(k + 1)]
-        b_blocks += [(2 * k + 3 + 2 * j, 4 * k + 3 + 2 * j) for j in range(k)]
+        a_blocks = _run(2 * k + 1, 2, 4 * k + 4)
+        b_blocks = _run(k + 1, 1, 6 * k + 3) + _run(k, 2 * k + 3, 4 * k + 3)
         c_blocks = [(0,)]
     elif case == 7:
         n = 8 * k + 3
-        a_blocks = [(2 * i, 4 * k + 2 * i) for i in range(1, k + 1)]
-        a_blocks += [(2 * k + 2 * i, 6 * k + 2 + 2 * i) for i in range(1, k + 1)]
-        b_blocks = [(2 * j + 1, 8 * k + 1 - 2 * j) for j in range(k)]
-        b_blocks += [(2 * k + 3 + 2 * j, 4 * k + 3 + 2 * j) for j in range(k)]
+        a_blocks = _run(k, 2, 4 * k + 2) + _run(k, 2 * k + 2, 6 * k + 4)
+        # (2j + 1, 8k + 1 - 2j): the second entries fall.
+        b_blocks = _run(k, 1, 8 * k + 1, step_b=-2) + _run(k, 2 * k + 3, 4 * k + 3)
         c_blocks = [(0, 2 * k + 1, 6 * k + 2)]
     elif case == 8:
         n = 8 * k + 7
-        a_blocks = [(2 * i, 4 * k + 4 + 2 * i) for i in range(1, k + 1)]
-        a_blocks += [(2 * k + 2 + 2 * i, 6 * k + 4 + 2 * i) for i in range(1, k + 2)]
-        b_blocks = [(4 * j + 1, 4 * k + 3 + 2 * j) for j in range(k + 1)]
-        b_blocks += [(4 * j + 3, 6 * k + 7 + 2 * j) for j in range(k)]
+        a_blocks = _run(k, 2, 4 * k + 6) + _run(k + 1, 2 * k + 4, 6 * k + 6)
+        # (4j + 1, 4k + 3 + 2j) and (4j + 3, 6k + 7 + 2j): first entries step by 4.
+        b_blocks = _run(k + 1, 1, 4 * k + 3, step_a=4) + _run(k, 3, 6 * k + 7, step_a=4)
         c_blocks = [(0, 2 * k + 2, 6 * k + 5)]
     else:
         raise ValueError(f"unknown case {case}")
     blocks = tuple(a_blocks) + tuple(b_blocks) + tuple(c_blocks)
     kinds = ("A",) * len(a_blocks) + ("B",) * len(b_blocks) + ("C",) * len(c_blocks)
     return MergePlan(n, blocks, kinds)
+
+
+def _run(count: int, a: int, b: int, step_a: int = 2, step_b: int = 2) -> list[tuple[int, int]]:
+    """The blocks (a + step_a*i, b + step_b*i) for i < count."""
+    return [*zip(range(a, a + step_a * count, step_a), range(b, b + step_b * count, step_b))]
 
 
 def family_colors(n: int) -> tuple[str, frozenset[int]]:
@@ -110,6 +111,11 @@ def family_colors(n: int) -> tuple[str, frozenset[int]]:
     if r == 2:
         return "4m+2", frozenset({6 * m + 6, 8 * m + 8, 8 * m + 6})
     return "4m+3", frozenset({10 * m + 12, 8 * m + 10, 8 * m + 8})
+
+
+def _merged_cycle(plan: MergePlan) -> Graph:
+    """The graph that ``plan`` makes of C_n, built with no graph of C_n."""
+    return Graph._from_ends(*_merged_part(_cycle_part(plan.n), plan))
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,7 @@ def transform_cycle(n: int, plan: MergePlan) -> CycleTransformResult:
     if plan.n != n:
         raise ValueError(f"plan order {plan.n} does not match n={n}")
     labeling = c_labeling(n)
-    merged = merge_vertices(build_cycle(n), plan)
+    merged = _merged_cycle(plan)
     family, expected = family_colors(n)
     certify(f"merge of C_{n} ({family} profile)", merged, labeling, expected)
     return CycleTransformResult(merged, labeling, family, expected)
@@ -144,8 +150,7 @@ def verify_case1_circulant(k: int) -> list[int]:
     and drop by 2k otherwise) and checks it edge-by-edge.  Failure is a
     construction bug.
     """
-    plan = case_plan(1, k)
-    merged = merge_vertices(build_cycle(8 * k), plan)
+    merged = _merged_cycle(case_plan(1, k))
     target = build_circulant(CirculantSpec(4 * k, (1, 2 * k - 1)))
     smallest = [min(map(int, names)) for names in merged.provenance]
     mapping = [p if p % 2 == 0 or p <= 2 * k - 1 else p - 2 * k for p in smallest]
@@ -167,14 +172,14 @@ class EvenOddArrays:
     index: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        evens = [(p, x) for x, row in enumerate(self.evens) for p in row]
-        odds = [(p, y) for row in self.odds for y, p in enumerate(row)]
+        evens, odds = [*chain.from_iterable(self.evens)], [*chain.from_iterable(self.odds)]
         n = len(evens) + len(odds)
-        found = sorted(p for p, _ in evens) + sorted(p for p, _ in odds)
-        if found != list(range(0, n, 2)) + list(range(1, n, 2)):
+        if sorted(evens) != [*range(0, n, 2)] or sorted(odds) != [*range(1, n, 2)]:
             raise CertificationError(f"even and odd arrays do not partition [0, {n - 1}]")
+        rows = chain.from_iterable(map(repeat, range(len(self.evens)), map(len, self.evens)))
+        columns = chain.from_iterable(map(range, map(len, self.odds)))
         index = [0] * n
-        for p, cell in evens + odds:
+        for p, cell in zip(chain(evens, odds), chain(rows, columns)):
             index[p] = cell
         object.__setattr__(self, "index", index)
 
@@ -285,23 +290,26 @@ def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
         if labels[x][y] is not None:
             raise CertificationError(f"cell ({x},{y}) holds two cycle edges, one of them {j}")
         labels[x][y] = label
-    holes = [[x is None for x in row] for row in labels]
-    if any(holes[x - 1][-1:] + holes[x - 1][:-1] != holes[x] for x in range(size)):
+    filled = [[*map(is_not, row, repeat(None))] for row in labels]
+    if any(filled[x - 1][-1:] + filled[x - 1][:-1] != filled[x] for x in range(size)):
         raise CertificationError("incidence pattern rows are not cyclic shifts")
-
-    # Vertices u_0..u_{2*size-1}: row x is u_{2x}, column y is u_{2y+1}.
-    cells = [(x, y) for x in range(size) for y in range(size) if labels[x][y] is not None]
 
     def provenance():
         columns = list(zip(*arrays.odds))
         return tuple(tuple(map(str, columns[v // 2] if v % 2 else arrays.evens[v // 2]))
                      for v in range(2 * size))
 
-    graph = Graph(2 * size, tuple((2 * x, 2 * y + 1) for x, y in cells), provenance)
-    labeling = EdgeLabeling(tuple(labels[x][y] for x, y in cells))
+    # Vertices u_0..u_{2*size-1}: row x is u_{2x}, column y is u_{2y+1}; the
+    # edges are the filled cells in row-major order.
+    us = tuple(chain.from_iterable(map(repeat, range(0, 2 * size, 2), map(sum, filled))))
+    vs = tuple(chain.from_iterable(map(compress, repeat(range(1, 2 * size, 2)), filled)))
+    graph = Graph._from_ends(2 * size, us, vs, provenance)
+    labeling = EdgeLabeling(tuple(chain.from_iterable(map(compress, labels, filled))))
 
     spec = CirculantSpec(2 * size, construction_steps(s, t))
-    if sorted_edge_keys(graph) != sorted_edge_keys(build_circulant(spec)):
+    _, circulant_us, circulant_vs, _ = _circulant_part(spec)
+    keys = sorted_edge_keys(2 * size, zip(us, vs))
+    if keys != sorted_edge_keys(2 * size, zip(circulant_us, circulant_vs)):
         raise CertificationError(f"pattern does not match the adjacency of {spec}")
     regular = 2 ** (s - 1) * (n + 2)
     sums = {regular - n // 2, regular, 2 ** (s - 1) * (n + 1)}

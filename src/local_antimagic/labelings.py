@@ -62,16 +62,10 @@ def induced_coloring(g: Graph, f: EdgeLabeling) -> InducedColoring:
     """Induced vertex sums plus every adjacent pair with equal sums."""
     validate_labeling(g, f)
     sums = [0] * g.n
-    for (u, v), x in zip(g.edges, f.labels):
+    for (u, v), x in zip(g._pairs(), f.labels):
         sums[u] += x
         sums[v] += x
-    conflicts = sorted(
-        {
-            (min(u, v), max(u, v))
-            for u, v in g.edges
-            if sums[u] == sums[v]
-        }
-    )
+    conflicts = sorted({(min(u, v), max(u, v)) for u, v in g._pairs() if sums[u] == sums[v]})
     return InducedColoring(tuple(sums), frozenset(sums), tuple(conflicts))
 
 

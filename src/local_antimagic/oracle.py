@@ -137,7 +137,7 @@ def _construction(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
     else:
         return None
     position = {(min(u, v), max(u, v)): i for i, (u, v) in enumerate(g.edges)}
-    for i, (u, v) in enumerate(built.edges):
+    for i, (u, v) in enumerate(zip(built.us, built.vs)):
         a, b = mapping[u], mapping[v]
         labels[position[min(a, b), max(a, b)]] = base[i % n] + i // n * n
     carried, source = EdgeLabeling(tuple(labels)), f"circulant labeling C_{n}{spec.steps}"
@@ -157,10 +157,12 @@ def _bounds(g: Graph, k: int) -> tuple[int, str, Optional[tuple[EdgeLabeling, st
     l + 1 by l >= 1 pendants where that is higher (their sums are their
     distinct labels, and the edge labelled q has an end of degree at least
     2 whose sum exceeds q, unless g is K_2, which has no labeling,
-    Haslegrave 2018); at 3, the 3-sum labeling of an even-order circulant
-    with odd steps (the paper's result (ii)); then the exact chromatic
-    number of a graph that is not bipartite, where it is higher.  Neither a
-    construction nor χ is sought once the bound exceeds k."""
+    Haslegrave 2018); at 3 on a bipartite g, the 3-sum labeling of an
+    even-order circulant with odd steps (the paper's result (ii); every
+    such circulant is bipartite, so no other g can match one); then the
+    exact chromatic number of a graph that is not bipartite, where it is
+    higher.  Neither a construction nor χ is sought once the bound exceeds
+    k."""
     if (built := _cycle(g)) is not None:
         return 3, "chromatic number" if g.n % 2 else "two-sum conditions", built
     verdict = check_two_color_necessary(g)
@@ -175,7 +177,7 @@ def _bounds(g: Graph, k: int) -> tuple[int, str, Optional[tuple[EdgeLabeling, st
         lower, source = pendants + 1, "pendants"
     if lower > k:
         return lower, source, None
-    if lower == 3 and (built := _construction(g)) is not None:
+    if lower == 3 and verdict.bipartite and (built := _construction(g)) is not None:
         return lower, source, built
     if not verdict.bipartite and (chi := chromatic_number(g)) > lower:
         lower, source = chi, "chromatic number"

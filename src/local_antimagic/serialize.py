@@ -141,7 +141,7 @@ def to_dot(g: Graph, f: Optional[EdgeLabeling] = None) -> str:
         name = g.vertex_name(v)
         label = name if sums is None else f"{name}\\n{sums[v]}"
         lines.append(f'  {v} [label="{label}"];')
-    for i, (u, v) in enumerate(g.edges):
+    for i, (u, v) in enumerate(g._pairs()):
         attr = "" if f is None else f' [label="{f[i]}"]'
         lines.append(f"  {u} -- {v}{attr};")
     lines.append("}")

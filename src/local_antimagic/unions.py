@@ -10,7 +10,7 @@ incident to the shared central vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Union
 
 from .graphs import (
@@ -18,10 +18,10 @@ from .graphs import (
     CirculantSpec,
     Graph,
     MergePlan,
-    build_circulant,
-    build_cycle,
-    merge_vertices,
-    one_point_union,
+    _circulant_part,
+    _cycle_part,
+    _merged_part,
+    _union,
 )
 from .labelings import EdgeLabeling, certify, validate_labeling
 
@@ -49,9 +49,7 @@ class UnionSpec:
 
 
 def union_graph(spec: UnionSpec) -> Graph:
-    return one_point_union(
-        [build_cycle(a) for a in spec.orders], [0] * spec.r
-    )
+    return _union([_cycle_part(a) for a in spec.orders], [0] * spec.r)
 
 
 @dataclass(frozen=True)
@@ -85,26 +83,25 @@ def family1_sequences(r: int) -> list[list[int]]:
     """Per-cycle label sequences of the 2-color labeling: each long cycle
     interleaves the arithmetic runs i + (2r-1)j and their complements to
     4r^2-4r+1, and the short cycle takes the multiples of 2r-1."""
-    m = 4 * r * r - 4 * r
-    seqs = []
-    for i in range(1, r):
-        seq: list[int] = []
-        for j in range(2 * r - 1):
-            seq.append(i + (2 * r - 1) * j)
-            seq.append(m + 1 - i - (2 * r - 1) * j)
-        seqs.append(seq)
-    short: list[int] = []
-    for x in range(r - 1):
-        short.append((2 * r - 1) * (x + 1))
-        short.append(4 * r * r - 6 * r + 2 - (2 * r - 1) * x)
-    seqs.append(short)
+    m, d = 4 * r * r - 4 * r, 2 * r - 1
+    seqs = [_interleaved(range(i, i + d * d, d), range(m + 1 - i, m + 1 - i - d * d, -d))
+            for i in range(1, r)]
+    top = 4 * r * r - 6 * r + 2
+    seqs.append(_interleaved(range(d, d * r, d), range(top, top - d * (r - 1), -d)))
     return seqs
+
+
+def _interleaved(evens: range, odds: range) -> list[int]:
+    """evens[0], odds[0], evens[1], odds[1], ..."""
+    seq = [0] * (len(evens) + len(odds))
+    seq[::2], seq[1::2] = evens, odds
+    return seq
 
 
 def union_2labeling_family1(r: int) -> UnionLabelingResult:
     """2-color labeling of the family-1 union, sums 4r^2-4r+1 and 4r^2-2r."""
     spec = family1_spec(r)
-    labels = [x for seq in family1_sequences(r) for x in seq]
+    labels = [*chain.from_iterable(family1_sequences(r))]
     low, high = 4 * r * r - 4 * r + 1, 4 * r * r - 2 * r
     return _finish(spec, labels, frozenset({low, high}), high)
 
@@ -117,26 +114,20 @@ def family2_spec(r: int) -> UnionSpec:
 
 
 def family2_sequences(r: int) -> list[list[int]]:
-    seqs = []
-    for i in range(1, (r - 1) // 2 + 1):
-        seq: list[int] = []
-        for j in range(r):
-            seq.append(2 * r * j + i)
-            seq.append(2 * r * r - r - 2 * r * j - i)
-        seqs.append(seq)
-    for j in range((r + 1) // 2):
-        seq = []
-        for x in range(r - 1):
-            seq.append((2 * x + 1) * r + j)
-            seq.append(2 * r * r - 2 * r - 2 * x * r - j)
-        seqs.append(seq)
+    step, top = 2 * r, 2 * r * r
+    seqs = [_interleaved(range(i, i + step * r, step),
+                         range(top - r - i, top - r - i - step * r, -step))
+            for i in range(1, (r - 1) // 2 + 1)]
+    seqs += [_interleaved(range(r + j, r + j + step * (r - 1), step),
+                          range(top - step - j, top - step - j - step * (r - 1), -step))
+             for j in range((r + 1) // 2)]
     return seqs
 
 
 def union_2labeling_family2(r: int) -> UnionLabelingResult:
     """2-color labeling of the family-2 union, sums 2r^2-r and 2r^2+r."""
     spec = family2_spec(r)
-    labels = [x for seq in family2_sequences(r) for x in seq]
+    labels = [*chain.from_iterable(family2_sequences(r))]
     low, high = 2 * r * r - r, 2 * r * r + r
     return _finish(spec, labels, frozenset({low, high}), high)
 
@@ -151,9 +142,7 @@ def union_3labeling(spec: UnionSpec) -> UnionLabelingResult:
     if any(a % 2 or a < 16 for a in spec.orders):
         raise ValueError("every cycle order must be even and at least 16")
     m = spec.m
-    labels = [
-        i // 2 if i % 2 == 0 else m - (i - 1) // 2 for i in range(1, m + 1)
-    ]
+    labels = _interleaved(range(m, m // 2, -1), range(1, m // 2 + 1))
     central = spec.r * m + m // 2
     return _finish(spec, labels, frozenset({m, m + 1, central}), central)
 
@@ -224,30 +213,31 @@ def transform_union(
         return slices[cycle]
 
     # Every constituent attaches at its vertex 0: the cycles' v_0, and for
-    # a merge the block holding v_0, which merge_vertices ranks first.
-    graphs: list[Graph] = []
+    # a merge the block holding v_0, which the plan ranks first.  Only the
+    # union they make up is built as a graph and checked.
+    parts: list = []
     labels: list[int] = []
     for d in directives:
         if isinstance(d, KeepCycle):
             labels.extend(take(d.cycle))
-            graphs.append(build_cycle(spec.orders[d.cycle]))
+            parts.append(_cycle_part(spec.orders[d.cycle]))
         elif isinstance(d, FuseCycles):
             labels.extend(take(d.first))
             labels.extend(take(d.second))
             n = spec.orders[d.first]
             if spec.orders[d.second] != n:
                 raise ValueError("fused cycles must have equal order")
-            graphs.append(build_circulant(CirculantSpec(n, (1, d.step))))
+            parts.append(_circulant_part(CirculantSpec(n, (1, d.step))))
         elif isinstance(d, MergeCycle):
             labels.extend(take(d.cycle))
-            graphs.append(merge_vertices(build_cycle(spec.orders[d.cycle]), d.plan))
+            parts.append(_merged_part(_cycle_part(spec.orders[d.cycle]), d.plan))
         else:
             raise TypeError(f"unknown directive {d!r}")
     if consumed != set(range(spec.r)):
         missing = sorted(set(range(spec.r)) - consumed)
         raise ValueError(f"cycles {missing} not consumed by any directive")
 
-    graph = one_point_union(graphs, [0] * len(graphs))
+    graph = _union(parts, [0] * len(parts))
     new_labeling = EdgeLabeling(tuple(labels))
     # Every cycle is consumed once, so these are the input's labels in a
     # new order: a failure here is an input error, not a certification bug.

@@ -12,7 +12,6 @@ from local_antimagic import (
     CirculantSpec,
     Graph,
     are_isomorphic,
-    build_circulant,
     build_construction_matrix,
     build_cycle,
     build_even_odd_arrays,
@@ -318,13 +317,13 @@ def test_construction_matrix_cross_check_sees_one_moved_edge(monkeypatch):
     # The pattern is compared with the circulant's edges as sorted int
     # keys; a circulant with one edge moved must fail certification, also
     # when the move keeps the sum of the edge's two ends.
-    real = cycle_merge.build_circulant
+    real = cycle_merge._circulant_part
 
     def moved(spec):
-        g = real(spec)
-        i, (u, v) = next((i, e) for i, e in enumerate(g.edges) if e[1] - e[0] >= 3)
-        return Graph(g.n, g.edges[:i] + ((u + 1, v - 1),) + g.edges[i + 1:])
+        n, us, vs, names = real(spec)
+        i = next(i for i, (u, v) in enumerate(zip(us, vs)) if v - u >= 3)
+        return n, us[:i] + (us[i] + 1,) + us[i + 1:], vs[:i] + (vs[i] - 1,) + vs[i + 1:], names
 
-    monkeypatch.setattr(cycle_merge, "build_circulant", moved)
+    monkeypatch.setattr(cycle_merge, "_circulant_part", moved)
     with pytest.raises(CertificationError, match="pattern does not match"):
         build_construction_matrix(2, 1)

@@ -23,16 +23,20 @@ from local_antimagic import (
     build_circulant,
     build_construction_matrix,
     build_cycle,
+    c_labeling,
     case_plan,
     circulant_labeling,
     delete_edge,
+    induced_coloring,
     merge_vertices,
     one_point_union,
     partite_classes,
     transform_cycle,
     transform_union,
     union_2labeling_family1,
+    union_2labeling_family2,
     union_3labeling,
+    verify_case1_circulant,
     verify_vertex_map,
 )
 from local_antimagic.graphs import gamma_cycle_sequence
@@ -206,13 +210,21 @@ def test_merge_plan_raises_the_messages_of_its_first_check():
                 kinds.append(rng.choice("ABC"))
         expected = old_plan_error(n, blocks, tuple(kinds))
         seen.add(expected)
+        # Sorted exact-int tuples skip the conversion and must check the same.
+        normal = tuple(tuple(sorted(map(int, b))) for b in blocks)
         if expected is None:
             plan = MergePlan(n, tuple(map(tuple, blocks)), tuple(kinds))
-            assert plan.blocks == tuple(tuple(sorted(map(int, b))) for b in blocks)
+            assert plan.blocks == normal
+            assert MergePlan(n, normal, tuple(kinds)) == plan
+            # Blocks rank by their least vertex, as merge_vertices numbers them.
+            ranked = sorted(normal)
+            assert plan.rank == tuple(next(i for i, b in enumerate(ranked) if v in b)
+                                      for v in range(n))
         else:
-            with pytest.raises(ValueError) as info:
-                MergePlan(n, tuple(map(tuple, blocks)), tuple(kinds))
-            assert str(info.value) == expected, (n, blocks, kinds)
+            for given in (tuple(map(tuple, blocks)), normal):
+                with pytest.raises(ValueError) as info:
+                    MergePlan(n, given, tuple(kinds))
+                assert str(info.value) == expected, (n, blocks, kinds)
     assert len({m.split(" ")[0] for m in seen if m}) == 7 and None in seen
 
 
@@ -500,10 +512,18 @@ def edge_inputs(draw):
 def test_edge_check_matches_the_coercing_path(case, as_tuple):
     n, pairs = case
     edges = tuple(pairs) if as_tuple else list(pairs)
-    assert outcome(lambda: Graph(n, edges)) == outcome(lambda: parent_edges(n, edges))
-    # The same pairs as a list of lists always take the coercing path.
-    as_lists = [list(e) for e in pairs]
-    assert outcome(lambda: Graph(n, edges)) == outcome(lambda: Graph(n, as_lists))
+    expected = outcome(lambda: parent_edges(n, edges))
+    assert outcome(lambda: Graph(n, edges)) == expected
+    # The same rows as lists, as a parsed document gives them, become end
+    # columns when their ends are exact ints, else take the coercing path.
+    for rows in ([list(e) for e in pairs], tuple(list(e) for e in pairs)):
+        assert outcome(lambda: Graph(n, rows)) == expected
+        exact = all(type(e) in (list, tuple) and len(e) == 2
+                    and {type(u) for u in e} == {int} for e in pairs)
+        if pairs and exact and not isinstance(expected[0], type):
+            g = Graph(n, rows)
+            assert "edges" not in vars(g)
+            assert (g.us, g.vs) == (tuple(u for u, _ in expected), tuple(v for _, v in expected))
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
@@ -516,6 +536,24 @@ def test_exact_int_edges_are_kept_as_they_are(case):
     g = Graph(n, edges)
     assert g.edges is edges
     assert g == Graph(n, [list(e) for e in pairs])
+
+
+@pytest.mark.parametrize("us,vs,message", [
+    ((0, True), (1, 2), "edge end True is not an int"),
+    ((0, 1), (1, 2.0), "edge end 2.0 is not an int"),
+    ((0, -1), (1, 2), "edge (-1,2) out of range for n=3"),
+    ((0, 1), (1, 3), "edge (1,3) out of range for n=3"),
+    ((0, 2), (1, 2), "loop at vertex 2 is not allowed"),
+    ((0, 1), (1,), "end columns of 2 and 1 entries"),
+])
+def test_end_columns_are_checked_like_pairs(us, vs, message):
+    with pytest.raises(ValueError) as info:
+        Graph._from_ends(3, us, vs)
+    assert str(info.value) == message
+    if type(us[1]) is int and type(vs[-1]) is int and len(us) == len(vs):
+        with pytest.raises(ValueError) as info:
+            Graph(3, tuple(zip(us, vs)))
+        assert str(info.value) == message
 
 
 def test_edge_check_survives_optimize():
@@ -535,6 +573,22 @@ def test_edge_check_survives_optimize():
     assert proc.stdout.splitlines() == [
         "loop at vertex 2 is not allowed", "edge (1,3) out of range for n=3",
     ], proc.stdout + proc.stderr
+    code = (
+        "from local_antimagic import Graph\n"
+        "for ends in (((0, True), (1, 2)), ((0, -1), (1, 2)), ((0, 2), (1, 2)), ((0,), ())):\n"
+        "    try:\n"
+        "        Graph._from_ends(3, *ends)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout.splitlines() == [
+        "edge end True is not an int", "edge (-1,2) out of range for n=3",
+        "loop at vertex 2 is not allowed", "end columns of 1 and 0 entries",
+    ], proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------- provenance
@@ -553,6 +607,34 @@ def built_graphs():
         "transform_union": transform_union(labeled.spec, labeled.labeling, directives).graph,
         "build_construction_matrix": build_construction_matrix(3, 1).graph,
     }
+
+
+def test_constructions_and_their_check_build_no_edge_pairs():
+    labeled = union_2labeling_family1(9)
+    directives = [FuseCycles(2 * i, 2 * i + 1, 3) for i in range(4)]
+    directives.append(MergeCycle(8, case_plan(1, 2)))
+    plan = case_plan(7, 2)
+    results = [
+        circulant_labeling(CirculantSpec(16, (1, 3))),
+        transform_cycle(plan.n, plan),
+        labeled,
+        union_2labeling_family2(5),
+        union_3labeling(UnionSpec((16, 20))),
+        transform_union(labeled.spec, labeled.labeling, directives),
+        build_construction_matrix(3, 1),
+    ]
+    built = [(build_cycle(12), c_labeling(12)), results[0]]
+    built += [(res.graph, res.labeling) for res in results[1:]]
+    for g, f in built:
+        induced_coloring(g, f)
+        assert "edges" not in vars(g), g.n
+    merged = merge_vertices(build_cycle(plan.n), plan)
+    g = delete_edge(one_point_union([merged, build_circulant(CirculantSpec(10, (1, 3)))],
+                                    [1, 0]), 4)
+    assert verify_vertex_map(g, g, list(range(g.n))) and sum(g.degrees) == 2 * g.q
+    assert verify_case1_circulant(3)
+    for h in (merged, g):
+        assert "edges" not in vars(h)
 
 
 def test_constructors_leave_provenance_unbuilt():

@@ -147,6 +147,21 @@ def test_bounds_stop_past_k_and_refute_below_the_chromatic_number(monkeypatch):
     assert feasible_with_colors(k4, 3, SearchBudget(node_limit=0)) is None
 
 
+@pytest.mark.parametrize("n,chi", [(8, 4), (10, 4), (12, 3)])
+def test_bounds_seek_no_circulant_on_a_graph_that_is_not_bipartite(monkeypatch, n, chi):
+    # C_n(1,2) is 4-regular of even order but has triangles, and every
+    # even-order circulant with odd steps is bipartite: the bounds go
+    # straight to the chromatic number, with the results they always had.
+    def refuse(*args):
+        raise AssertionError("sought a circulant")
+
+    monkeypatch.setattr(oracle, "build_circulant", refuse)
+    monkeypatch.setattr(oracle, "are_isomorphic", refuse)
+    g = Graph(n, tuple((j, (j + a) % n) for a in (1, 2) for j in range(n)))
+    for k in (2, 3, n):
+        assert _bounds(g, k) == (3 if k == 2 else chi, "chromatic number", None)
+
+
 @pytest.mark.parametrize("m", range(3, 8))
 def test_cycles_need_three_sums(m):
     result = exact_chi_la(build_cycle(m))

@@ -7,6 +7,8 @@ seeded construct-verify cell per family, at about 1k edges, checks every
 construction independently on each test run, not only inside perfbench.
 """
 
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -31,6 +33,23 @@ def test_one_cell_per_family():
 def test_construction_passes_the_benchmark_checker(req):
     g, f = workloads.construct(req, Tracer(False))
     check.check_construction(req, g.n, g.edges, f.labels)
+
+
+# sha256 over (n, edges, provenance, labels) of every construct-verify cell
+# up to 2^14 edges, recorded before graphs kept their edges as end columns.
+PINNED_CELLS = {
+    7: "34d69cd13e336a80169b8f9f6d2a8c6524a37cefacab4aa7e3172d0e2b434866",
+    13: "0af8687fc1ee755bc382785c0013d74abc5a0e16292d140a08f579ecf1338f69",
+}
+
+
+@pytest.mark.parametrize("seed", list(PINNED_CELLS))
+def test_constructions_are_pinned(seed):
+    digest = hashlib.sha256()
+    for req in gen.cv_cells(seed, 2 ** 14):
+        g, f = workloads.construct(req, Tracer(False))
+        digest.update(json.dumps([g.n, g.edges, g.provenance, f.labels]).encode())
+    assert digest.hexdigest() == PINNED_CELLS[seed]
 
 
 def test_benchmark_checker_refutes_swapped_labels():

@@ -127,7 +127,8 @@ def test_transform_union_keep_passthrough():
     directives = [KeepCycle(i) for i in range(5)]
     result = transform_union(labeled.spec, labeled.labeling, directives)
     assert result.colors == labeled.colors
-    assert sorted_edge_keys(result.graph) == sorted_edge_keys(labeled.graph)
+    g, h = result.graph, labeled.graph
+    assert sorted_edge_keys(g.n, g.edges) == sorted_edge_keys(h.n, h.edges)
 
 
 @pytest.mark.parametrize(
