@@ -179,7 +179,7 @@ def labeling_matrix_view(g: Graph, f: EdgeLabeling) -> LabelingMatrixView:
     if not g.is_simple():
         raise ValueError("labeling matrix is ambiguous on parallel edges")
     entries: list[list[Optional[int]]] = [[None] * g.n for _ in range(g.n)]
-    for (u, v), x in zip(g._pairs(), f.labels):
+    for u, v, x in zip(g.us, g.vs, f.labels):
         entries[u][v] = x
         entries[v][u] = x
     row_sums = tuple(sum(x for x in row if x is not None) for row in entries)

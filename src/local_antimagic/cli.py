@@ -166,6 +166,8 @@ def _cmd_transform(args) -> int:
     orders = extra.get("orders")
     if args.orders:
         orders = _ints(args.orders)
+    elif orders is not None and (type(orders) is not list or {*map(type, orders)} - {int}):
+        raise ValueError(f"malformed 'orders' field: {orders!r} is not a list of integers")
     if orders is None:
         raise ValueError("transform union needs --orders or an 'orders' field")
     if f is None:

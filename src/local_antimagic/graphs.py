@@ -1,14 +1,13 @@
 """Undirected multigraphs with stable vertex and edge indices.
 
-A graph stores its edges as two end columns, ``us`` and ``vs``: edge i
-joins ``us[i]`` and ``vs[i]``, and i is the edge's index.  ``edges``, the
-tuple of (u, v) pairs, is a view built on first read; a graph given a
-tuple of exact-int pairs keeps that tuple, and builds its columns on first
-read instead.  Every transformation here
-(vertex merging, one-point union, edge deletion) preserves the indices of
-surviving edges so that edge labelings carry over unchanged, and builds
-the columns of its result in one pass, with no tuple per edge and no
-intermediate graph.  Loops are never allowed; parallel edges are.
+A graph stores its edges only as two end columns, ``us`` and ``vs``: edge
+i joins ``us[i]`` and ``vs[i]``, and i is the edge's index.  ``edges``,
+the tuple of (u, v) pairs, is always a view of the columns, built on
+first read.  Every transformation here (vertex merging, one-point union,
+edge deletion) preserves the indices of surviving edges so that edge
+labelings carry over unchanged, and builds the columns of its result in
+one pass, with no tuple per edge and no intermediate graph.  Loops are
+never allowed; parallel edges are.
 """
 
 from __future__ import annotations
@@ -30,13 +29,12 @@ class CertificationError(AssertionError):
 class Graph:
     """Immutable loop-free multigraph on vertices ``0..n-1`` with ``q`` edges.
 
-    Edge i joins ``us[i]`` and ``vs[i]``: a constructed graph keeps its
-    edges as these two end columns, tuples of ints, and ``edges``, the
-    tuple of (u, v) pairs, is a view built on first read.  A graph given a
-    tuple of exact-int pairs checks and keeps it as ``edges``, and builds
-    its columns on first read instead.  A list or tuple of rows that are
-    lists or tuples of two exact ints becomes columns with no tuple per
-    edge; any other edge sequence is converted pair by pair.
+    Edge i joins ``us[i]`` and ``vs[i]``: every graph stores its edges as
+    these two end columns, tuples of ints, and ``edges``, the tuple of
+    (u, v) pairs, is a view built on first read.  A list or tuple of rows
+    that are lists or tuples of two exact ints, a tuple of pairs or a
+    parsed document's edges, is checked in one loop and split into
+    columns; any other edge sequence is converted pair by pair first.
 
     ``provenance[v]`` is the set of original vertex identifiers that were
     collapsed into ``v`` (trivial for freshly built graphs).  It exists so
@@ -48,14 +46,13 @@ class Graph:
     n: int
 
     def __init__(self, n: int, edges, provenance=()):
-        if not (type(edges) is tuple and _pairs_pass(n, edges)):
-            ends = _row_ends(n, edges)
-            if ends is not None:
-                kept = self._keep(n, len(ends[0]), provenance)
-                kept["us"], kept["vs"] = ends
-                return
-            edges = _converted_pairs(n, edges)
-        self._keep(n, len(edges), provenance)["edges"] = edges
+        us, vs = _row_ends(n, edges) or _converted_ends(n, edges)
+        # The instance dict written as a frozen dataclass's __init__ does, and
+        # inline: on a 10-edge graph straight after gc.collect(), a shared
+        # method for it cost about 2 of 20 us.
+        kept = vars(self)
+        kept["n"], kept["q"], kept["us"], kept["vs"] = n, len(us), us, vs
+        kept["_names"] = _stored_names(n, provenance)
 
     @classmethod
     def _from_ends(cls, n: int, us: tuple, vs: tuple, provenance=()) -> Graph:
@@ -70,35 +67,16 @@ class Graph:
             for x in chain(us, vs):
                 if type(x) is not int:
                     raise ValueError(f"edge end {x!r} is not an int")
-            _converted_pairs(n, zip(us, vs))  # raises: a loop, a bad end or n < 0
+            _converted_ends(n, zip(us, vs))  # raises: a loop, a bad end or n < 0
         g = cls.__new__(cls)
-        kept = g._keep(n, len(us), provenance)
-        kept["us"], kept["vs"] = us, vs
+        kept = vars(g)
+        kept["n"], kept["q"], kept["us"], kept["vs"] = n, len(us), us, vs
+        kept["_names"] = _stored_names(n, provenance)
         return g
-
-    def _keep(self, n: int, q: int, provenance) -> dict:
-        """The instance dict, written as a frozen dataclass's __init__ does,
-        with n, q and the stored provenance in it."""
-        kept = vars(self)
-        kept["n"], kept["q"], kept["_names"] = n, q, _stored_names(n, provenance)
-        return kept
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.us, self.vs))
-
-    @cached_property
-    def us(self) -> tuple[int, ...]:
-        return tuple(map(itemgetter(0), self.edges))
-
-    @cached_property
-    def vs(self) -> tuple[int, ...]:
-        return tuple(map(itemgetter(1), self.edges))
-
-    def _pairs(self):
-        """One pass over the edges as (u, v) pairs: the kept pairs, else the
-        end columns zipped, so that neither form is built just to be read."""
-        return vars(self).get("edges") or zip(self.us, self.vs)
 
     @cached_property
     def provenance(self) -> tuple[tuple[str, ...], ...]:
@@ -122,7 +100,7 @@ class Graph:
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
-        for u, v in self._pairs():
+        for u, v in zip(self.us, self.vs):
             deg[u] += 1
             deg[v] += 1
         return tuple(deg)
@@ -131,7 +109,7 @@ class Graph:
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Edge indices incident to each vertex (parallel edges repeat)."""
         inc: list[list[int]] = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(self._pairs()):
+        for i, (u, v) in enumerate(zip(self.us, self.vs)):
             inc[u].append(i)
             inc[v].append(i)
         return tuple(map(tuple, inc))
@@ -140,7 +118,7 @@ class Graph:
     def adjacency(self) -> tuple[dict[int, int], ...]:
         """Per-vertex map neighbor -> edge multiplicity."""
         adj: list[dict[int, int]] = [{} for _ in range(self.n)]
-        for u, v in self._pairs():
+        for u, v in zip(self.us, self.vs):
             adj[u][v] = adj[u].get(v, 0) + 1
             adj[v][u] = adj[v].get(u, 0) + 1
         return tuple(adj)
@@ -185,22 +163,6 @@ class Graph:
         return "v" + ",".join(self.provenance[v])
 
 
-
-def _pairs_pass(n: int, pairs) -> bool:
-    """True iff n >= 0 and ``pairs`` holds only tuples of two exact ints in
-    ``0..n-1`` that differ: one plain loop."""
-    if n < 0:
-        return False
-    for e in pairs:
-        if type(e) is not tuple or len(e) != 2:
-            return False
-        u, v = e
-        if (type(u) is not int or type(v) is not int or u == v
-                or u < 0 or v < 0 or u >= n or v >= n):
-            return False
-    return True
-
-
 def _ends_pass(n: int, us, vs) -> bool:
     """True iff n >= 0 and the end columns are equally long, of exact ints
     in ``0..n-1``, and differ at every index.  One plain loop: at 10 and at
@@ -216,22 +178,31 @@ def _ends_pass(n: int, us, vs) -> bool:
 
 
 def _row_ends(n: int, rows) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The end columns of ``rows``, a list or tuple of lists or tuples of
-    length 2 (a parsed document's edges), when they pass ``_ends_pass``;
-    else None, and the rows take the pair path."""
-    if ((type(rows) is list or type(rows) is tuple)
-            and {*map(type, rows)} <= {list, tuple} and {*map(len, rows)} <= {2}):
-        # Not zip(*rows): it makes an iterator per row, and at 2*10^5 rows
-        # the collector runs that they trigger took 6x longer.
-        us, vs = tuple(map(itemgetter(0), rows)), tuple(map(itemgetter(1), rows))
-        if _ends_pass(n, us, vs):
-            return us, vs
-    return None
+    """The end columns of ``rows`` when n >= 0 and ``rows`` is a list or
+    tuple of lists or tuples of two exact ints in ``0..n-1`` that differ,
+    checked and split in one plain loop; else None, and the rows take the
+    pair path.  Not zip(*rows): it makes an iterator per row, and at 2*10^5
+    rows the collector runs that they trigger took 6x longer."""
+    if n < 0 or (type(rows) is not list and type(rows) is not tuple):
+        return None
+    us: list[int] = []
+    vs: list[int] = []
+    for e in rows:
+        if (type(e) is not tuple and type(e) is not list) or len(e) != 2:
+            return None
+        u, v = e
+        if (type(u) is not int or type(v) is not int or u == v
+                or u < 0 or v < 0 or u >= n or v >= n):
+            return None
+        us.append(u)
+        vs.append(v)
+    return tuple(us), tuple(vs)
 
 
-def _converted_pairs(n: int, edges) -> tuple[tuple[int, int], ...]:
-    """``edges`` converted pair by pair with int() and checked: raises on a
-    negative n, then on the first loop or end outside ``0..n-1``."""
+def _converted_ends(n: int, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The end columns of ``edges``, converted pair by pair with int() and
+    checked: raises on a negative n, then on the first loop or end outside
+    ``0..n-1``."""
     edges = tuple((int(u), int(v)) for u, v in edges)
     if n < 0:
         raise ValueError("vertex count must be non-negative")
@@ -240,7 +211,7 @@ def _converted_pairs(n: int, edges) -> tuple[tuple[int, int], ...]:
             raise ValueError(f"loop at vertex {u} is not allowed")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-    return edges
+    return tuple(map(itemgetter(0), edges)), tuple(map(itemgetter(1), edges))
 
 
 def _stored_names(n: int, provenance):
@@ -616,7 +587,7 @@ def verify_vertex_map(g1: Graph, g2: Graph, mapping: list[int]) -> bool:
         return False
     image = mapping.__getitem__
     return (sorted_edge_keys(g2.n, zip(map(image, g1.us), map(image, g1.vs)))
-            == sorted_edge_keys(g2.n, g2._pairs()))
+            == sorted_edge_keys(g2.n, zip(g2.us, g2.vs)))
 
 
 def sorted_edge_keys(n: int, edges) -> list[int]:

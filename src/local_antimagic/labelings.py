@@ -61,11 +61,11 @@ def validate_labeling(g: Graph, f: EdgeLabeling) -> None:
 def induced_coloring(g: Graph, f: EdgeLabeling) -> InducedColoring:
     """Induced vertex sums plus every adjacent pair with equal sums."""
     validate_labeling(g, f)
-    sums = [0] * g.n
-    for (u, v), x in zip(g._pairs(), f.labels):
+    sums, us, vs = [0] * g.n, g.us, g.vs
+    for u, v, x in zip(us, vs, f.labels):
         sums[u] += x
         sums[v] += x
-    conflicts = sorted({(min(u, v), max(u, v)) for u, v in g._pairs() if sums[u] == sums[v]})
+    conflicts = sorted({(min(u, v), max(u, v)) for u, v in zip(us, vs) if sums[u] == sums[v]})
     return InducedColoring(tuple(sums), frozenset(sums), tuple(conflicts))
 
 

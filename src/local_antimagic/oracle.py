@@ -99,11 +99,10 @@ def _cycle(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
     n = g.n
     if n < 3 or g.q != n or set(map(len, g.incident)) != {2}:
         return None
-    labels, v, e = [0] * n, 0, g.incident[0][0]
+    labels, v, e, us, vs = [0] * n, 0, g.incident[0][0], g.us, g.vs
     for x in c_labeling(n).labels:
         labels[e] = x
-        a, b = g.edges[e]
-        v = b if a == v else a
+        v = vs[e] if us[e] == v else us[e]
         a, b = g.incident[v]
         e = b if a == e else a
     if 0 in labels:  # the walk closed before n steps
@@ -136,7 +135,7 @@ def _construction(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
             break
     else:
         return None
-    position = {(min(u, v), max(u, v)): i for i, (u, v) in enumerate(g.edges)}
+    position = {(min(u, v), max(u, v)): i for i, (u, v) in enumerate(zip(g.us, g.vs))}
     for i, (u, v) in enumerate(zip(built.us, built.vs)):
         a, b = mapping[u], mapping[v]
         labels[position[min(a, b), max(a, b)]] = base[i % n] + i // n * n
@@ -213,7 +212,7 @@ class _Search:
                 if not seen[i]:
                     seen[i] = True
                     order.append(i)
-                    u, w = g.edges[i]
+                    u, w = g.us[i], g.vs[i]
                     stack.append(w if u == v else u)
         return order
 
@@ -224,13 +223,13 @@ class _Search:
         ends complete; then a sentinel, so the loop may read one depth past
         the last."""
         g = self.g
-        done_at = {w: i for i, e in enumerate(self.order) for w in g.edges[e]}
+        done_at = {w: i for i, e in enumerate(self.order) for w in (g.us[e], g.vs[e])}
         # The complement q+1-f of a labeling of a regular graph induces the
         # mirrored sums, so there the first label takes only the lower half.
         first = (g.q + 1) // 2 if g.is_regular() else g.q
         depths = []
         for i, e in enumerate(self.order):
-            u, v = g.edges[e]
+            u, v = g.us[e], g.vs[e]
             if done_at[u] != i:  # a lone completing end is always u
                 u, v = v, u
             checks = tuple((w, tuple(x for x in g.adjacency[w] if done_at[x] <= i))

@@ -51,7 +51,8 @@ def document(g: Graph, f: Optional[EdgeLabeling] = None, **extra) -> dict[str, A
 
 def parse_document(text: str) -> tuple[Graph, Optional[EdgeLabeling], dict[str, Any]]:
     """The graph, labeling (None when absent) and remaining fields of a
-    document.  A malformed document raises ValueError naming the field."""
+    document.  A malformed document raises ValueError naming the field;
+    labels must be a JSON list."""
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -61,8 +62,10 @@ def parse_document(text: str) -> tuple[Graph, Optional[EdgeLabeling], dict[str, 
     field = "graph"
     try:
         g = graph_from_dict(data["graph"])
-        field = "labels"
-        f = EdgeLabeling(data["labels"]) if "labels" in data else None
+        field, labels = "labels", data.get("labels", [])
+        if type(labels) is not list:
+            raise TypeError(f"labels must be a list, not {type(labels).__name__}")
+        f = EdgeLabeling(labels) if "labels" in data else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed '{field}' field: {exc!r}") from None
     extra = {k: v for k, v in data.items() if k not in ("graph", "labels")}
@@ -141,7 +144,7 @@ def to_dot(g: Graph, f: Optional[EdgeLabeling] = None) -> str:
         name = g.vertex_name(v)
         label = name if sums is None else f"{name}\\n{sums[v]}"
         lines.append(f'  {v} [label="{label}"];')
-    for i, (u, v) in enumerate(g._pairs()):
+    for i, (u, v) in enumerate(zip(g.us, g.vs)):
         attr = "" if f is None else f' [label="{f[i]}"]'
         lines.append(f"  {u} -- {v}{attr};")
     lines.append("}")

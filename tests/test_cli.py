@@ -279,12 +279,14 @@ def test_error_exit_code_on_bad_parameters(capsys, monkeypatch):
         (["verify"], '{"graph":{"n":3},"labels":[1]}', "malformed 'graph' field: KeyError('edges')"),
         (["verify"], '{"graph":{"n":3,"edges":[[0,1],[1,2],[2,0]]},"labels":5}',
          "malformed 'labels' field"),
+        (["verify"], '{"graph":{"n":3,"edges":[[0,1],[1,2]]},"labels":"12"}',
+         "malformed 'labels' field: TypeError('labels must be a list, not str')"),
         (["verify"], '{"graph":[3]}', "missing the 'graph' object"),
         (["verify"], "[" * 100000, "not valid JSON"),
         (["verify"], '{"graph":{"n":3,"edges":[]}}', "no labels to verify"),
     ],
-    ids=["no-edges", "labels-not-a-list", "graph-not-an-object", "nested-too-deep",
-         "no-labels"],
+    ids=["no-edges", "labels-not-a-list", "labels-a-string", "graph-not-an-object",
+         "nested-too-deep", "no-labels"],
 )
 def test_malformed_input_exits_2(capsys, monkeypatch, args, stdin, message):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -389,6 +391,17 @@ def test_union_input_with_a_repeated_label_exits_2(capsys, monkeypatch):
     directives = '[{"keep":0},{"keep":1}]'
     assert main(["transform", "union", "--orders", "3,3", "--directives", directives]) == 2
     assert capsys.readouterr().err.startswith("error: labeling must be a bijection onto 1..6")
+
+
+@pytest.mark.parametrize("orders", [5, "33", [3, 3.0]], ids=["a-number", "a-string", "a-float"])
+def test_union_input_with_malformed_orders_exits_2(capsys, monkeypatch, orders):
+    doc = document(union_graph(UnionSpec((3, 3))), EdgeLabeling((1, 2, 3, 4, 5, 6)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**doc, "orders": orders})))
+    assert main(["transform", "union", "--directives", '[{"keep":0},{"keep":1}]']) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed 'orders' field: {orders!r} is not a list of integers\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**doc, "orders": [3, 3]})))
+    assert main(["transform", "union", "--directives", '[{"keep":0},{"keep":1}]']) == 0
 
 
 # Any integer or float, with vertex counts such as 1e12 that no document

@@ -620,3 +620,11 @@ def test_bounds_path_builds_and_certifies_only_what_it_needs(monkeypatch):
     # connectivity checks; the other orders the built circulant for the
     # isomorphism search.
     assert len(searched) == 2 and searched[0] is g and searched[1] is not g
+
+
+def test_the_oracle_reads_the_end_columns_and_builds_no_pair_view():
+    c7 = Graph(7, tuple((j, (j + 1) % 7) for j in range(7)))
+    for g in (c7, complete_bipartite(3, 3), counterexample_graph()):
+        exact_chi_la(g)
+        feasible_with_colors(g, 2)
+        assert "edges" not in vars(g), g.n
