@@ -1,6 +1,8 @@
 """Local antimagic labelings of cycles, circulants, merged cycles, and
 one-point unions of cycles, with an exact small-instance search."""
 
+from importlib import import_module as _import_module
+
 from .graphs import (
     CertificationError,
     CirculantSpec,
@@ -61,13 +63,27 @@ from .unions import (
     union_3labeling,
     union_graph,
 )
-from .oracle import (
-    BudgetExceeded,
-    OracleResult,
-    SearchBudget,
-    chromatic_number,
-    exact_chi_la,
-    feasible_with_colors,
-)
 
 __version__ = "0.1.0"
+
+# The oracle is imported on first use of one of its names, so a process
+# that never searches, such as most CLI commands, does not compile it.  Its
+# names then become globals and the hook goes: CPython 3.11 does not
+# specialise attribute reads on a module with __getattr__ (4x slower).
+_ORACLE_NAMES = frozenset({"oracle", "BudgetExceeded", "OracleResult", "SearchBudget",
+                           "chromatic_number", "exact_chi_la", "feasible_with_colors"})
+
+__all__ = sorted({*(name for name in globals() if not name.startswith("_")), *_ORACLE_NAMES})
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    oracle = _import_module(".oracle", __name__)
+    globals().update((key, getattr(oracle, key)) for key in _ORACLE_NAMES - {"oracle"})
+    globals().pop("__getattr__", None)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES})

@@ -51,9 +51,7 @@ from .unions import (
     union_3labeling,
     union_graph,
 )
-from .oracle import BudgetExceeded, SearchBudget, exact_chi_la, feasible_with_colors
-from .reproduce import run_all
-from .serialize import document, parse_document, to_dot, write_json
+from .serialize import parse_document, to_dot, write_document, write_json
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -62,6 +60,11 @@ def _ints(text: str) -> tuple[int, ...]:
 
 def _emit(doc: dict) -> None:
     write_json(doc, sys.stdout)
+    sys.stdout.write("\n")
+
+
+def _emit_document(g: Graph, f: Optional[EdgeLabeling] = None, /, **extra) -> None:
+    write_document(sys.stdout, g, f, **extra)
     sys.stdout.write("\n")
 
 
@@ -83,7 +86,7 @@ def _cmd_build(args) -> int:
         g = build_circulant(CirculantSpec(args.m, _ints(args.steps)))
     else:
         g = union_graph(UnionSpec(_ints(args.orders)))
-    _emit(document(g))
+    _emit_document(g)
     return 0
 
 
@@ -101,7 +104,7 @@ def _cmd_label(args) -> int:
     else:
         result = union_3labeling(UnionSpec(_ints(args.orders)))
         g, f = result.graph, result.labeling
-    _emit(document(g, f))
+    _emit_document(g, f)
     return 0
 
 
@@ -136,31 +139,16 @@ def _cmd_transform(args) -> int:
     if args.kind == "case":
         plan = case_plan(args.case, args.k)
         result = transform_cycle(plan.n, plan)
-        _emit(
-            document(
-                result.graph,
-                result.labeling,
-                family=result.family,
-                expected_colors=sorted(result.expected_colors),
-            )
-        )
+        _emit_document(result.graph, result.labeling, family=result.family,
+                       expected_colors=sorted(result.expected_colors))
         return 0
     if args.kind == "matrix":
         built = build_construction_matrix(args.s, args.t)
         if args.render:
             print(built.render())
             return 0
-        _emit(
-            document(
-                built.graph,
-                built.labeling,
-                A=built.arrays.evens,
-                B=built.arrays.odds,
-                M01=built.pattern,
-                Mlab=built.labels,
-                steps=built.spec.steps,
-            )
-        )
+        _emit_document(built.graph, built.labeling, A=built.arrays.evens, B=built.arrays.odds,
+                       M01=built.pattern, Mlab=built.labels, steps=built.spec.steps)
         return 0
     g, f, extra = _read_document(args.input)
     orders = extra.get("orders")
@@ -181,14 +169,8 @@ def _cmd_transform(args) -> int:
         # is not local antimagic is a failed check, not a library bug.
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    _emit(
-        document(
-            result.graph,
-            result.labeling,
-            colors=sorted(result.colors),
-            central_sum=result.central_sum,
-        )
-    )
+    _emit_document(result.graph, result.labeling, colors=sorted(result.colors),
+                   central_sum=result.central_sum)
     return 0
 
 
@@ -239,6 +221,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # Imported here, as reproduce is, so that no other command compiles it.
+    from .oracle import BudgetExceeded, SearchBudget, exact_chi_la, feasible_with_colors
     g, _, _ = _read_document(args.input)
     budget = SearchBudget() if args.max_edges is None else SearchBudget(args.max_edges)
     try:
@@ -272,7 +256,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_export(args) -> int:
     g, f, extra = _read_document(args.input)
     if args.format == "json":
-        _emit(document(g, f, **extra))
+        _emit_document(g, f, **extra)
     elif args.format == "dot":
         print(to_dot(g, f))
     else:
@@ -283,6 +267,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .reproduce import run_all
     return 1 if run_all() else 0
 
 

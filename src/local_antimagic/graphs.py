@@ -92,7 +92,9 @@ class Graph:
         return hash((self.n, self.us, self.vs, self.provenance))
 
     def __reduce__(self):
-        return Graph, (self.n, self.edges, self.provenance)
+        # Columns as they are, names only when not trivial; a function is not picklable.
+        names = self.provenance if callable(self._names) else self._names or ()
+        return Graph._from_ends, (self.n, self.us, self.vs, names)
 
     def __repr__(self):
         return f"Graph(n={self.n!r}, edges={self.edges!r})"
@@ -158,9 +160,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return len(self.components) <= 1
-
-    def vertex_name(self, v: int) -> str:
-        return "v" + ",".join(self.provenance[v])
 
 
 def _ends_pass(n: int, us, vs) -> bool:

@@ -648,25 +648,52 @@ def test_export_rewrites_the_deepest_document_it_parses(capsys, monkeypatch, ope
     assert out == json.dumps(document(g, f, **extra), indent=2) + "\n"
 
 
-@pytest.mark.parametrize(
-    "child",
-    [
-        "import local_antimagic\n",
+def run_as_main(*argv: str) -> str:
+    return (
         "import runpy\n"
-        "sys.argv = ['antimagic', 'label', 'c', '--m', '16']\n"
+        f"sys.argv = ['antimagic', *{list(argv)!r}]\n"
         "try:\n"
         "    runpy.run_module('local_antimagic', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    if exc.code:\n"
-        "        raise\n",
+        "        raise\n"
+    )
+
+
+VERIFY_INPUT = json.dumps(document(build_cycle(4), c_labeling(4)), indent=2)
+
+
+@pytest.mark.parametrize(
+    "child",
+    [
+        "import local_antimagic\n",
+        run_as_main("label", "c", "--m", "16"),
+        f"sys.stdin = io.StringIO({VERIFY_INPUT!r})\n" + run_as_main("verify"),
     ],
-    ids=["import", "label-c"],
+    ids=["import", "label-c", "verify"],
 )
 def test_numpy_stays_off_the_import_path(child):
-    code = "import sys\n" + child + "sys.exit(97 if 'numpy' in sys.modules else 0)\n"
+    # Nor do the oracle and reproduce-all, which these commands never run.
+    code = "import io, sys\n" + child + (
+        "sys.exit(97 if 'numpy' in sys.modules else 98 if {'local_antimagic.oracle', "
+        "'local_antimagic.reproduce'} & set(sys.modules) else 0)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
+
+
+def test_every_public_name_resolves_and_is_listed():
+    import local_antimagic
+
+    names = set(local_antimagic.__all__)
+    assert {"exact_chi_la", "feasible_with_colors", "SearchBudget", "Graph", "oracle"} <= names
+    assert all(getattr(local_antimagic, name) is not None for name in names)
+    assert names <= set(dir(local_antimagic))
+    star: dict = {}
+    exec("from local_antimagic import *", star)
+    assert names <= set(star)
+    with pytest.raises(AttributeError):
+        local_antimagic.no_such_name

@@ -40,7 +40,7 @@ from local_antimagic import (
     verify_vertex_map,
 )
 from local_antimagic.graphs import gamma_cycle_sequence
-from local_antimagic.serialize import graph_from_dict, graph_to_dict
+from local_antimagic.serialize import graph_from_dict, graph_to_dict, to_dot
 
 from conftest import random_connected_graph, random_connected_multigraph, shuffled
 
@@ -111,7 +111,7 @@ def test_merge_preserves_edges_and_provenance():
     merged = merge_vertices(g, plan)
     assert merged.n == 4 and merged.q == 8
     assert merged.provenance[0] == ("0", "4")
-    assert merged.vertex_name(0) == "v0,4"
+    assert '  0 [label="v0,4"];' in to_dot(merged)
     # Edge indices unchanged: edge 0 was (v0, v1); merged vertices are
     # ranked by their blocks' minima, so v0's block is 0 and v1's is 1.
     assert set(merged.edges[0]) == {0, 1}
@@ -661,6 +661,21 @@ def test_graphs_equal_their_json_round_trip():
     assert Graph(3, (), [["0"], ["2"], ["1"]]) != Graph(3, ())
     with pytest.raises(ValueError, match="provenance length"):
         Graph(3, (), [["0"], ["1"]])
+
+
+def test_pickling_sends_the_end_columns_and_builds_no_pair_view():
+    plan = case_plan(1, 2)
+    graphs = [build_cycle(9), merge_vertices(build_cycle(plan.n), plan),
+              one_point_union([build_cycle(4), build_cycle(3)], [0, 0])]
+    for g in graphs:
+        data = pickle.dumps(g)
+        assert "edges" not in vars(g)
+        h = pickle.loads(data)
+        assert "edges" not in vars(h)
+        assert h == g and (h.us, h.vs, h.provenance) == (g.us, g.vs, g.provenance)
+    g = build_cycle(9)
+    h = pickle.loads(pickle.dumps(g))
+    assert "provenance" not in vars(g) and h._names is None
 
 
 @pytest.mark.parametrize("case", range(1, 9))
