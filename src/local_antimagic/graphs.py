@@ -6,8 +6,8 @@ the tuple of (u, v) pairs, is always a view of the columns, built on
 first read.  Every transformation here (vertex merging, one-point union,
 edge deletion) preserves the indices of surviving edges so that edge
 labelings carry over unchanged, and builds the columns of its result in
-one pass, with no tuple per edge and no intermediate graph.  Loops are
-never allowed; parallel edges are.
+one pass, with no tuple per edge and no intermediate graph.  Every graph
+passes one check of its columns; loops are never allowed, parallel edges are.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, compress, islice
-from operator import eq, itemgetter, lt
+from operator import eq, index, itemgetter, lt
 from typing import Optional
 
 
@@ -31,10 +31,10 @@ class Graph:
 
     Edge i joins ``us[i]`` and ``vs[i]``: every graph stores its edges as
     these two end columns, tuples of ints, and ``edges``, the tuple of
-    (u, v) pairs, is a view built on first read.  A list or tuple of rows
-    that are lists or tuples of two exact ints, a tuple of pairs or a
-    parsed document's edges, is checked in one loop and split into
-    columns; any other edge sequence is converted pair by pair first.
+    (u, v) pairs, is a view built on first read.  ``Graph(n, edges)`` keeps
+    each exact int end of its pairs or rows, converts any other end by
+    ``operator.index`` (a numpy int, say) and refuses a bool, a float or a
+    str; then its columns pass ``_keep_checked``, as every graph's do.
 
     ``provenance[v]`` is the set of original vertex identifiers that were
     collapsed into ``v`` (trivial for freshly built graphs).  It exists so
@@ -46,32 +46,14 @@ class Graph:
     n: int
 
     def __init__(self, n: int, edges, provenance=()):
-        us, vs = _row_ends(n, edges) or _converted_ends(n, edges)
-        # The instance dict written as a frozen dataclass's __init__ does, and
-        # inline: on a 10-edge graph straight after gc.collect(), a shared
-        # method for it cost about 2 of 20 us.
-        kept = vars(self)
-        kept["n"], kept["q"], kept["us"], kept["vs"] = n, len(us), us, vs
-        kept["_names"] = _stored_names(n, provenance)
+        us, vs = _split(edges)
+        _keep_checked(self, n, us, vs, provenance)
 
     @classmethod
     def _from_ends(cls, n: int, us: tuple, vs: tuple, provenance=()) -> Graph:
-        """The graph whose edge i joins ``us[i]`` and ``vs[i]``, the columns
-        kept as they are.  They are checked to be equally long, of exact
-        ints in ``0..n-1`` and free of loops, by explicit raises that run
-        under ``python -O`` too; a failure raises the ValueError the pair
-        path raises for the same pairs."""
-        if not _ends_pass(n, us, vs):
-            if len(us) != len(vs):
-                raise ValueError(f"end columns of {len(us)} and {len(vs)} entries")
-            for x in chain(us, vs):
-                if type(x) is not int:
-                    raise ValueError(f"edge end {x!r} is not an int")
-            _converted_ends(n, zip(us, vs))  # raises: a loop, a bad end or n < 0
+        """The graph of the end columns ``us`` and ``vs``, kept as they are."""
         g = cls.__new__(cls)
-        kept = vars(g)
-        kept["n"], kept["q"], kept["us"], kept["vs"] = n, len(us), us, vs
-        kept["_names"] = _stored_names(n, provenance)
+        _keep_checked(g, n, us, vs, provenance)
         return g
 
     @cached_property
@@ -162,55 +144,48 @@ class Graph:
         return len(self.components) <= 1
 
 
-def _ends_pass(n: int, us, vs) -> bool:
-    """True iff n >= 0 and the end columns are equally long, of exact ints
-    in ``0..n-1``, and differ at every index.  One plain loop: at 10 and at
-    6.5*10^4 edges it ran faster than C-level passes over the columns
-    (type, min, max, eq)."""
-    if n < 0 or len(us) != len(vs):
-        return False
+def _keep_checked(g: Graph, n: int, us, vs, provenance) -> None:
+    """Keep the end columns ``us`` and ``vs`` in ``g`` once they pass the
+    one edge check, which raises even under ``python -O``: on a negative n,
+    on columns of unequal length, then at the first edge with a non-int end,
+    a loop or an end outside ``0..n-1``.  One plain loop: at 10 and 6.5*10^4
+    edges it beat C-level passes over the columns (type, min, max, eq)."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if len(us) != len(vs):
+        raise ValueError(f"end columns of {len(us)} and {len(vs)} entries")
     for u, v in zip(us, vs):
         if (type(u) is not int or type(v) is not int or u == v
                 or u < 0 or v < 0 or u >= n or v >= n):
-            return False
-    return True
+            for x in (u, v):
+                if type(x) is not int:
+                    raise ValueError(f"edge end {x!r} is not an int")
+            if u == v:
+                raise ValueError(f"loop at vertex {u} is not allowed")
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    kept = vars(g)
+    kept["n"], kept["q"], kept["us"], kept["vs"] = n, len(us), us, vs
+    kept["_names"] = _stored_names(n, provenance)
 
 
-def _row_ends(n: int, rows) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The end columns of ``rows`` when n >= 0 and ``rows`` is a list or
-    tuple of lists or tuples of two exact ints in ``0..n-1`` that differ,
-    checked and split in one plain loop; else None, and the rows take the
-    pair path.  Not zip(*rows): it makes an iterator per row, and at 2*10^5
-    rows the collector runs that they trigger took 6x longer."""
-    if n < 0 or (type(rows) is not list and type(rows) is not tuple):
-        return None
-    us: list[int] = []
-    vs: list[int] = []
-    for e in rows:
-        if (type(e) is not tuple and type(e) is not list) or len(e) != 2:
-            return None
-        u, v = e
-        if (type(u) is not int or type(v) is not int or u == v
-                or u < 0 or v < 0 or u >= n or v >= n):
-            return None
-        us.append(u)
-        vs.append(v)
+def _split(rows) -> tuple[tuple, tuple]:
+    """The end columns of ``rows``, pairs (u, v): an exact int end is kept
+    and any other end goes through ``_index``.  One plain loop, not
+    zip(*rows): it makes an iterator per row, and at 2*10^5 rows the
+    collector runs that they trigger took 6x longer."""
+    us: list = []
+    vs: list = []
+    for u, v in rows:
+        us.append(u if type(u) is int else _index(u))
+        vs.append(v if type(v) is int else _index(v))
     return tuple(us), tuple(vs)
 
 
-def _converted_ends(n: int, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The end columns of ``edges``, converted pair by pair with int() and
-    checked: raises on a negative n, then on the first loop or end outside
-    ``0..n-1``."""
-    edges = tuple((int(u), int(v)) for u, v in edges)
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop at vertex {u} is not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-    return tuple(map(itemgetter(0), edges)), tuple(map(itemgetter(1), edges))
+def _index(x):
+    """``x`` as an exact int by ``operator.index`` (a numpy int, say), or
+    ``x`` itself, for the caller to refuse, when it is a bool or has no
+    index (a float or a str)."""
+    return x if isinstance(x, bool) or not hasattr(x, "__index__") else index(x)
 
 
 def _stored_names(n: int, provenance):

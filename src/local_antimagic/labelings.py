@@ -13,20 +13,28 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import CertificationError, Graph, partite_classes
+from .graphs import CertificationError, Graph, _index, partite_classes
 
 
 @dataclass(frozen=True)
 class EdgeLabeling:
     """Labels by edge index: ``labels[i]`` is the label of edge i.  A tuple
-    of exact ints is kept as it is; any other input is converted by int."""
+    of exact ints is kept as it is; any other label is converted by
+    ``operator.index`` (a numpy int, say), and a bool, a float or a str
+    raises ValueError."""
 
     labels: tuple[int, ...]
 
     def __post_init__(self):
         labels = self.labels
         if type(labels) is not tuple or not set(map(type, labels)) <= {int}:
-            object.__setattr__(self, "labels", tuple(map(int, labels)))
+            labels = tuple(labels)
+            if not set(map(type, labels)) <= {int}:
+                labels = tuple(map(_index, labels))
+                for x in labels:
+                    if type(x) is not int:
+                        raise ValueError(f"label {x!r} is not an int")
+            object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.labels)

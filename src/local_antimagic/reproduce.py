@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import CirculantSpec, Graph, build_circulant, build_cycle
+from .graphs import CirculantSpec, Graph, build_cycle
 from .labelings import (
     check_two_color_necessary,
     color_count,

@@ -19,7 +19,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
 
-from .graphs import Graph
+from .graphs import Graph, _index
 from .labelings import EdgeLabeling, induced_coloring
 
 
@@ -37,19 +37,24 @@ _SPARE_VERTICES = 1 << 16
 def graph_from_dict(data: dict[str, Any]) -> Graph:
     """``Graph`` converts the edges and provenance entries itself, and keeps
     nothing for a trivial provenance list.  A vertex count that neither the
-    provenance entries nor the edges can back raises ValueError first."""
-    n, edges, provenance = int(data["n"]), data["edges"], data.get("provenance") or ()
+    provenance entries nor the edges can back raises ValueError first, then
+    one that is not an int (a bool, a float, a str)."""
+    n, edges, provenance = _index(data["n"]), data["edges"], data.get("provenance") or ()
     _check_backed(n, edges, provenance)
+    if type(n) is not int:
+        raise ValueError(f"vertex count {n!r} is not an int")
     return Graph(n, edges, provenance)
 
 
-def _check_backed(n: int, edges, provenance) -> None:
-    if n > max(len(provenance), 2 * len(edges) + _SPARE_VERTICES):
-        raise ValueError(f"vertex count {n} is not backed by {len(edges)} edges "
-                         f"and {len(provenance)} provenance entries")
+def _check_backed(n, edges, provenance) -> None:
+    """ValueError if n, an int or a float, exceeds what the provenance
+    entries or the edges can back; the count reads as an integer."""
+    if type(n) in (int, float) and n > max(len(provenance), 2 * len(edges) + _SPARE_VERTICES):
+        raise ValueError("vertex count %d is not backed by %d edges and %d provenance entries"
+                         % (n, len(edges), len(provenance)))
 
 
-def document(g: Graph, f: Optional[EdgeLabeling] = None, **extra) -> dict[str, Any]:
+def document(g: Graph, f: Optional[EdgeLabeling] = None, /, **extra) -> dict[str, Any]:
     doc: dict[str, Any] = {"graph": graph_to_dict(g)}
     if f is not None:
         doc["labels"] = f.labels

@@ -284,9 +284,22 @@ def test_error_exit_code_on_bad_parameters(capsys, monkeypatch):
         (["verify"], '{"graph":[3]}', "missing the 'graph' object"),
         (["verify"], "[" * 100000, "not valid JSON"),
         (["verify"], '{"graph":{"n":3,"edges":[]}}', "no labels to verify"),
+        (["verify"], '{"graph": {"n": 3, "edges": [[0, 1.9], [1, 2]]}, "labels": [1.7, 2]}',
+         "malformed 'graph' field: ValueError('edge end 1.9 is not an int')"),
+        (["verify"], '{"graph":{"n":3,"edges":[[0,true],[1,2]]},"labels":[1,2]}',
+         "malformed 'graph' field: ValueError('edge end True is not an int')"),
+        (["verify"], '{"graph":{"n":3,"edges":[[0,1],[1,2]]},"labels":[1.7,2]}',
+         "malformed 'labels' field: ValueError('label 1.7 is not an int')"),
+        (["verify"], '{"graph":{"n":3,"edges":[[0,1],[1,2]]},"labels":[true,2]}',
+         "malformed 'labels' field: ValueError('label True is not an int')"),
+        (["verify"], '{"graph":{"n":"3","edges":[[0,1],[1,2]]},"labels":[1,2]}',
+         """malformed 'graph' field: ValueError("vertex count '3' is not an int")"""),
+        (["verify"], '{"graph":{"n":3.0,"edges":[[0,1],[1,2]]},"labels":[1,2]}',
+         "malformed 'graph' field: ValueError('vertex count 3.0 is not an int')"),
     ],
     ids=["no-edges", "labels-not-a-list", "labels-a-string", "graph-not-an-object",
-         "nested-too-deep", "no-labels"],
+         "nested-too-deep", "no-labels", "float-end", "bool-end", "float-label",
+         "bool-label", "str-count", "float-count"],
 )
 def test_malformed_input_exits_2(capsys, monkeypatch, args, stdin, message):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))

@@ -268,6 +268,13 @@ def test_dot_exports_are_pinned(capsys, monkeypatch, producer):
     assert digest == PINNED_DOT[producer]
 
 
+def test_document_keeps_fields_named_like_its_arguments():
+    g, extra = build_cycle(3), {"f": 1, "g": 2}
+    doc = document(g, None, **extra)
+    assert (doc["f"], doc["g"]) == (1, 2)
+    assert json.dumps(doc, indent=2) == written(g, None, **extra)
+
+
 def test_export_keeps_fields_named_like_the_writer_arguments(capsys, monkeypatch):
     # Fields named f or g once collided with document()'s parameters and
     # ended in a TypeError traceback.

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import os
 import pickle
 import random
@@ -449,18 +450,26 @@ def test_bipartition_and_isomorphism_agree_with_networkx():
 
 # ---------------------------------------------------------------- edge check
 
-def parent_edges(n, edges):
-    """The edge check as every input took it before rows of exact ints
-    became end columns: convert each pair, then check it."""
-    edges = tuple((int(u), int(v)) for u, v in edges)
+def reference_edges(n, edges):
+    """The edge check pair by pair: every pair unpacked, then a negative n
+    refused, then at the first bad pair an end that is a bool or has no
+    index, a loop, or an end out of range; an end with an index (a numpy
+    int) counts as the int it gives."""
+    pairs = [(u, v) for u, v in edges]
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    for u, v in edges:
+    checked = []
+    for pair in pairs:
+        for x in pair:
+            if isinstance(x, bool) or not hasattr(x, "__index__"):
+                raise ValueError(f"edge end {x!r} is not an int")
+        u, v = map(operator.index, pair)
         if u == v:
             raise ValueError(f"loop at vertex {u} is not allowed")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-    return edges
+        checked.append((u, v))
+    return tuple(checked)
 
 
 def outcome(build):
@@ -512,10 +521,9 @@ def edge_inputs(draw):
 def test_edge_check_matches_the_coercing_path(case, as_tuple):
     n, pairs = case
     edges = tuple(pairs) if as_tuple else list(pairs)
-    expected = outcome(lambda: parent_edges(n, edges))
+    expected = outcome(lambda: reference_edges(n, edges))
     # The pairs as given, and the same rows as lists, as a parsed document
-    # gives them, become end columns: straight away when their ends are
-    # exact ints, else by the coercing path.
+    # gives them, become the same end columns and pass the same check.
     for rows in (edges, [list(e) for e in pairs], tuple(list(e) for e in pairs)):
         assert outcome(lambda: Graph(n, rows)) == expected
         if pairs and not isinstance(expected[0], type):
@@ -539,6 +547,49 @@ def test_end_columns_are_checked_like_pairs(us, vs, message):
     if type(us[1]) is int and type(vs[-1]) is int and len(us) == len(vs):
         with pytest.raises(ValueError) as info:
             Graph(3, tuple(zip(us, vs)))
+        assert str(info.value) == message
+
+
+@given(st.integers(-1, 6), st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_pairs_and_their_end_columns_pass_the_same_check(n, pairs):
+    us, vs = tuple(u for u, _ in pairs), tuple(v for _, v in pairs)
+    expected = outcome(lambda: Graph._from_ends(n, us, vs))
+    for rows in (tuple(pairs), [list(e) for e in pairs]):
+        assert outcome(lambda: Graph(n, rows)) == expected
+
+
+class Pickled:
+    """What unpickling a graph runs: ``Graph._from_ends`` on the columns."""
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __reduce__(self):
+        return Graph._from_ends, self.columns
+
+
+@pytest.mark.parametrize("n,us,vs,message", [
+    (-1, (0, 1), (1,), "vertex count must be non-negative"),
+    (-1, (0, 0), (0, 5), "vertex count must be non-negative"),
+    (3, (0, 1.5), (0,), "end columns of 2 and 1 entries"),
+    (3, (0, 1), (0, True), "loop at vertex 0 is not allowed"),
+    (3, (5, 0), (1, 0), "edge (5,1) out of range for n=3"),
+    (3, (1, 2.5), (0, 2), "edge end 2.5 is not an int"),
+    (3, (True,), (2.0,), "edge end True is not an int"),
+    (3, (7,), ("a",), "edge end 'a' is not an int"),
+    (3, (5,), (5,), "loop at vertex 5 is not allowed"),
+])
+def test_the_edge_check_reports_the_first_fault_in_a_fixed_order(n, us, vs, message):
+    # n first, then the column lengths, then the first bad edge by index:
+    # an end that is not an int, then a loop, then an end out of range.
+    builds = [lambda: Graph._from_ends(n, us, vs),
+              lambda: pickle.loads(pickle.dumps(Pickled(n, us, vs)))]
+    if len(us) == len(vs):
+        builds.append(lambda: Graph(n, tuple(zip(us, vs))))
+    for build in builds:
+        with pytest.raises(ValueError) as info:
+            build()
         assert str(info.value) == message
 
 
@@ -575,6 +626,26 @@ def test_edge_check_survives_optimize():
     assert proc.stdout.splitlines() == [
         "edge end True is not an int", "edge (-1,2) out of range for n=3",
         "loop at vertex 2 is not allowed", "end columns of 1 and 0 entries",
+    ], proc.stdout + proc.stderr
+    code = (
+        "from local_antimagic import EdgeLabeling, Graph\n"
+        "from local_antimagic.serialize import graph_from_dict\n"
+        "for build in (lambda: Graph(3, [[0, 1.9]]), lambda: EdgeLabeling([1.7, 2]),\n"
+        "              lambda: EdgeLabeling((True, 1)),\n"
+        "              lambda: graph_from_dict({'n': '3', 'edges': []}),\n"
+        "              lambda: graph_from_dict({'n': 3.0, 'edges': []})):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout.splitlines() == [
+        "edge end 1.9 is not an int", "label 1.7 is not an int", "label True is not an int",
+        "vertex count '3' is not an int", "vertex count 3.0 is not an int",
     ], proc.stdout + proc.stderr
 
 

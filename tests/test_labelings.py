@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,13 +181,17 @@ def test_validate_keeps_the_bijection_message():
 
 
 def test_edge_labeling_coerces_like_int():
-    f = EdgeLabeling((1.0, True, 3, 2.9))
-    assert f.labels == (1, 1, 3, 2)
-    assert [type(x) for x in f.labels] == [int] * 4
+    # Labels are converted by operator.index, so numpy ints count as ints
+    # and a bool, a float or a str is refused, not truncated.
+    f = EdgeLabeling((np.int64(1), 3, np.int32(2)))
+    assert f.labels == (1, 3, 2)
+    assert [type(x) for x in f.labels] == [int] * 3
     assert EdgeLabeling([2, 1]).labels == (2, 1)
     exact = (3, 1, 2)
     assert EdgeLabeling(exact).labels is exact
     with pytest.raises(TypeError):
         EdgeLabeling(5)
-    with pytest.raises(ValueError):
-        EdgeLabeling(("x",))
+    for bad in (1.0, True, 2.9, "x"):
+        with pytest.raises(ValueError) as info:
+            EdgeLabeling([1, bad])
+        assert str(info.value) == f"label {bad!r} is not an int"
