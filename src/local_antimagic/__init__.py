@@ -32,58 +32,40 @@ from .labelings import (
     two_color_identity_holds,
     validate_labeling,
 )
-from .circulants import (
-    c_labeling,
-    c_labeling_sums,
-    certify_multiplier,
-    circulant_colors,
-    circulant_labeling,
-    circulant_spectrum,
-    labeling_matrix_view,
-    multiplier_isomorphism,
-    spectra_equal,
-)
-from .cycle_merge import (
-    ConstructionMatrix,
-    build_construction_matrix,
-    build_even_odd_arrays,
-    case_plan,
-    family_colors,
-    transform_cycle,
-    verify_case1_circulant,
-)
-from .unions import (
-    FuseCycles,
-    KeepCycle,
-    MergeCycle,
-    UnionSpec,
-    transform_union,
-    union_2labeling_family1,
-    union_2labeling_family2,
-    union_3labeling,
-    union_graph,
-)
 
 __version__ = "0.1.0"
 
-# The oracle is imported on first use of one of its names, so a process
-# that never searches, such as most CLI commands, does not compile it.  Its
+# The construction modules and the oracle are imported on first use of one
+# of their names, so that a process loads only what it runs: a CLI command
+# imports the modules it needs itself.  The first use imports all four; their
 # names then become globals and the hook goes: CPython 3.11 does not
 # specialise attribute reads on a module with __getattr__ (4x slower).
-_ORACLE_NAMES = frozenset({"oracle", "BudgetExceeded", "OracleResult", "SearchBudget",
-                           "chromatic_number", "exact_chi_la", "feasible_with_colors"})
+_LAZY = {
+    "circulants": ("c_labeling", "c_labeling_sums", "certify_multiplier", "circulant_colors",
+                   "circulant_labeling", "circulant_spectrum", "labeling_matrix_view",
+                   "multiplier_isomorphism", "spectra_equal"),
+    "cycle_merge": ("ConstructionMatrix", "build_construction_matrix", "build_even_odd_arrays",
+                    "case_plan", "family_colors", "transform_cycle", "verify_case1_circulant"),
+    "unions": ("FuseCycles", "KeepCycle", "MergeCycle", "UnionSpec", "transform_union",
+               "union_2labeling_family1", "union_2labeling_family2", "union_3labeling",
+               "union_graph"),
+    "oracle": ("BudgetExceeded", "OracleResult", "SearchBudget", "chromatic_number",
+               "exact_chi_la", "feasible_with_colors"),
+}
+_LAZY_NAMES = frozenset(_LAZY).union(*_LAZY.values())
 
-__all__ = sorted({*(name for name in globals() if not name.startswith("_")), *_ORACLE_NAMES})
+__all__ = sorted({*(name for name in globals() if not name.startswith("_")), *_LAZY_NAMES})
 
 
 def __getattr__(name: str):
-    if name not in _ORACLE_NAMES:
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    oracle = _import_module(".oracle", __name__)
-    globals().update((key, getattr(oracle, key)) for key in _ORACLE_NAMES - {"oracle"})
+    for module, names in _LAZY.items():
+        source = _import_module(f".{module}", __name__)
+        globals().update((key, getattr(source, key)) for key in names)
     globals().pop("__getattr__", None)
     return globals()[name]
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_ORACLE_NAMES})
+    return sorted({*globals(), *_LAZY_NAMES})

@@ -11,13 +11,12 @@ circulant; the combined labeling again has exactly three sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .graphs import (
     CertificationError,
     CirculantSpec,
     Graph,
+    Record,
     build_circulant,
     verify_vertex_map,
 )
@@ -87,7 +86,7 @@ def _canonical_step(a: int, n: int) -> int:
 
 def certify_multiplier(
     src: CirculantSpec, dst: CirculantSpec, mult: int
-) -> Optional[list[int]]:
+) -> list[int] | None:
     """Verify edge-by-edge that i -> mult*i mod n maps src onto dst.
 
     Returns the vertex bijection when it is an isomorphism, else None.
@@ -140,16 +139,15 @@ def spectra_equal(s1: list[float], s2: list[float], tol: float = 1e-9) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LabelingMatrixView:
-    """Symmetric label matrix: entry (u,v) is the label of edge uv.
+class LabelingMatrixView(Record):
+    """Symmetric label matrix: ``entries[u][v]`` is the label of edge uv,
+    or None when there is none.
 
-    Row sums equal the induced vertex sums.  Only defined for simple
-    graphs, where every cell is unambiguous.
+    Row sums (``row_sums``) equal the induced vertex sums.  Only defined
+    for simple graphs, where every cell is unambiguous.
     """
 
-    entries: tuple[tuple[Optional[int], ...], ...]
-    row_sums: tuple[int, ...]
+    _fields = ("entries", "row_sums")
 
     @property
     def size(self) -> int:
@@ -178,7 +176,7 @@ def labeling_matrix_view(g: Graph, f: EdgeLabeling) -> LabelingMatrixView:
     validate_labeling(g, f)
     if not g.is_simple():
         raise ValueError("labeling matrix is ambiguous on parallel edges")
-    entries: list[list[Optional[int]]] = [[None] * g.n for _ in range(g.n)]
+    entries: list[list[int | None]] = [[None] * g.n for _ in range(g.n)]
     for u, v, x in zip(g.us, g.vs, f.labels):
         entries[u][v] = x
         entries[v][u] = x

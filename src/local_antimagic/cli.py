@@ -10,6 +10,11 @@ Exit codes: 0 on success, 1 when a verification or search check fails,
 2 for usage errors and malformed input, 3 when a construction fails its
 own certification (an internal bug), 141 (128 + SIGPIPE) when the reader
 closes stdout early.
+
+Each command imports the construction modules it runs (``circulants``,
+``cycle_merge``, ``unions``), the oracle and ``reproduce`` itself, so a
+process loads only those: ``verify`` and ``export json`` or ``dot`` load
+none of them.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ import json
 import os
 import signal
 import sys
-from dataclasses import asdict
-from typing import Optional
 
 from .graphs import (
     CertificationError,
@@ -31,26 +34,6 @@ from .graphs import (
     build_cycle,
 )
 from .labelings import EdgeLabeling, check_two_color_necessary, induced_coloring
-from .circulants import (
-    c_labeling,
-    circulant_labeling,
-    circulant_spectrum,
-    labeling_matrix_view,
-    multiplier_isomorphism,
-    spectra_equal,
-)
-from .cycle_merge import build_construction_matrix, case_plan, transform_cycle
-from .unions import (
-    FuseCycles,
-    KeepCycle,
-    MergeCycle,
-    UnionSpec,
-    transform_union,
-    union_2labeling_family1,
-    union_2labeling_family2,
-    union_3labeling,
-    union_graph,
-)
 from .serialize import parse_document, to_dot, write_document, write_json
 
 
@@ -63,12 +46,12 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _emit_document(g: Graph, f: Optional[EdgeLabeling] = None, /, **extra) -> None:
+def _emit_document(g: Graph, f: EdgeLabeling | None = None, /, **extra) -> None:
     write_document(sys.stdout, g, f, **extra)
     sys.stdout.write("\n")
 
 
-def _read_document(path: Optional[str]) -> tuple[Graph, Optional[EdgeLabeling], dict]:
+def _read_document(path: str | None) -> tuple[Graph, EdgeLabeling | None, dict]:
     if path in (None, "-"):
         return parse_document(sys.stdin.read())
     try:
@@ -85,6 +68,7 @@ def _cmd_build(args) -> int:
     elif args.shape == "circulant":
         g = build_circulant(CirculantSpec(args.m, _ints(args.steps)))
     else:
+        from .unions import UnionSpec, union_graph
         g = union_graph(UnionSpec(_ints(args.orders)))
     _emit_document(g)
     return 0
@@ -92,17 +76,24 @@ def _cmd_build(args) -> int:
 
 def _cmd_label(args) -> int:
     if args.family == "c":
+        from .circulants import c_labeling
         g, f = build_cycle(args.m), c_labeling(args.m)
     elif args.family == "circulant":
+        from .circulants import circulant_labeling
         g, f = circulant_labeling(CirculantSpec(args.m, _ints(args.steps)))
-    elif args.family == "union2a":
-        result = union_2labeling_family1(args.r)
-        g, f = result.graph, result.labeling
-    elif args.family == "union2b":
-        result = union_2labeling_family2(args.r)
-        g, f = result.graph, result.labeling
     else:
-        result = union_3labeling(UnionSpec(_ints(args.orders)))
+        from .unions import (
+            UnionSpec,
+            union_2labeling_family1,
+            union_2labeling_family2,
+            union_3labeling,
+        )
+        if args.family == "union2a":
+            result = union_2labeling_family1(args.r)
+        elif args.family == "union2b":
+            result = union_2labeling_family2(args.r)
+        else:
+            result = union_3labeling(UnionSpec(_ints(args.orders)))
         g, f = result.graph, result.labeling
     _emit_document(g, f)
     return 0
@@ -116,6 +107,8 @@ def _parse_directives(text: str):
 
 
 def _directive(item):
+    from .cycle_merge import case_plan
+    from .unions import FuseCycles, KeepCycle, MergeCycle
     try:
         if "keep" in item:
             return KeepCycle(_int(item["keep"]))
@@ -136,6 +129,7 @@ def _int(value):
 
 
 def _cmd_transform(args) -> int:
+    from .cycle_merge import build_construction_matrix, case_plan, transform_cycle
     if args.kind == "case":
         plan = case_plan(args.case, args.k)
         result = transform_cycle(plan.n, plan)
@@ -160,6 +154,7 @@ def _cmd_transform(args) -> int:
         raise ValueError("transform union needs --orders or an 'orders' field")
     if f is None:
         raise ValueError("transform union needs a labeled document")
+    from .unions import UnionSpec, transform_union
     try:
         result = transform_union(
             UnionSpec(tuple(orders)), f, _parse_directives(args.directives)
@@ -198,6 +193,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .circulants import circulant_spectrum, spectra_equal
     spec = CirculantSpec(args.m, _ints(args.steps))
     spectrum = circulant_spectrum(spec)
     out = {"m": args.m, "steps": spec.steps, "spectrum": spectrum}
@@ -210,6 +206,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_iso(args) -> int:
     if args.multiplier:
+        from .circulants import multiplier_isomorphism
         mapping = multiplier_isomorphism(args.n, args.a, args.b)
         _emit({"isomorphic": True, "mapping": mapping})
         return 0
@@ -221,10 +218,9 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    # Imported here, as reproduce is, so that no other command compiles it.
     from .oracle import BudgetExceeded, SearchBudget, exact_chi_la, feasible_with_colors
     g, _, _ = _read_document(args.input)
-    budget = SearchBudget() if args.max_edges is None else SearchBudget(args.max_edges)
+    budget = SearchBudget(args.max_edges)
     try:
         if args.colors is not None:
             witness = feasible_with_colors(g, args.colors, budget)
@@ -244,7 +240,7 @@ def _cmd_oracle(args) -> int:
             "seconds": result.seconds,
         }
         if args.stats:
-            report["bounds"] = asdict(result.bounds)
+            report["bounds"] = result.bounds._asdict()
             report["searches"] = [run._asdict() for run in result.searches]
         _emit(report)
         return 0
@@ -262,6 +258,7 @@ def _cmd_export(args) -> int:
     else:
         if f is None:
             raise ValueError("matrix export needs labels")
+        from .circulants import labeling_matrix_view
         print(labeling_matrix_view(g, f).render())
     return 0
 
@@ -362,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "iso" and args.multiplier and None in (args.n, args.a, args.b):

@@ -13,16 +13,15 @@ vertex, and cycle edge j keeps its label in the cell holding its ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import is_not
-from typing import Optional
 
 from .graphs import (
     CertificationError,
     CirculantSpec,
     Graph,
     MergePlan,
+    Record,
     _circulant_part,
     _cycle_part,
     _merged_part,
@@ -118,12 +117,11 @@ def _merged_cycle(plan: MergePlan) -> Graph:
     return Graph._from_ends(*_merged_part(_cycle_part(plan.n), plan))
 
 
-@dataclass(frozen=True)
-class CycleTransformResult:
-    graph: Graph
-    labeling: EdgeLabeling
-    family: str
-    expected_colors: frozenset[int]
+class CycleTransformResult(Record):
+    """The merged graph, the labeling it carries, its residue family and
+    that family's three sums."""
+
+    _fields = ("graph", "labeling", "family", "expected_colors")
 
 
 def transform_cycle(n: int, plan: MergePlan) -> CycleTransformResult:
@@ -159,29 +157,28 @@ def verify_case1_circulant(k: int) -> list[int]:
     return mapping
 
 
-@dataclass(frozen=True)
-class EvenOddArrays:
+class EvenOddArrays(Record):
     """Block-recursive arrays of the evens (columns) and odds (rows) of
-    [0, n-1], for n = 2^{2s-1}(t+2).  Construction raises unless they hold
-    the evens and the odds of [0, n-1] exactly once each."""
+    [0, n-1], for n = 2^{2s-1}(t+2): ``evens`` is 2^{s-1}(t+2) x 2^{s-1}
+    and ``odds`` 2^{s-1} x 2^{s-1}(t+2).  Construction raises unless they
+    hold the evens and the odds of [0, n-1] exactly once each.
+    ``index[p]`` is the row of even p in the even array and the column of
+    odd p in the odd array."""
 
-    evens: tuple[tuple[int, ...], ...]  # 2^{s-1}(t+2) x 2^{s-1}
-    odds: tuple[tuple[int, ...], ...]  # 2^{s-1} x 2^{s-1}(t+2)
-    # index[p] is the row of even p in the even array and the column of
-    # odd p in the odd array.
-    index: list[int] = field(init=False, repr=False, compare=False)
+    _fields = ("evens", "odds")
 
-    def __post_init__(self):
-        evens, odds = [*chain.from_iterable(self.evens)], [*chain.from_iterable(self.odds)]
-        n = len(evens) + len(odds)
-        if sorted(evens) != [*range(0, n, 2)] or sorted(odds) != [*range(1, n, 2)]:
+    def __init__(self, evens: tuple[tuple[int, ...], ...], odds: tuple[tuple[int, ...], ...]):
+        flat_evens, flat_odds = [*chain.from_iterable(evens)], [*chain.from_iterable(odds)]
+        n = len(flat_evens) + len(flat_odds)
+        if sorted(flat_evens) != [*range(0, n, 2)] or sorted(flat_odds) != [*range(1, n, 2)]:
             raise CertificationError(f"even and odd arrays do not partition [0, {n - 1}]")
-        rows = chain.from_iterable(map(repeat, range(len(self.evens)), map(len, self.evens)))
-        columns = chain.from_iterable(map(range, map(len, self.odds)))
+        rows = chain.from_iterable(map(repeat, range(len(evens)), map(len, evens)))
+        columns = chain.from_iterable(map(range, map(len, odds)))
         index = [0] * n
-        for p, cell in zip(chain(evens, odds), chain(rows, columns)):
+        for p, cell in zip(chain(flat_evens, flat_odds), chain(rows, columns)):
             index[p] = cell
-        object.__setattr__(self, "index", index)
+        super().__init__(evens, odds)
+        vars(self)["index"] = index
 
 
 def build_even_odd_arrays(s: int, t: int) -> EvenOddArrays:
@@ -214,26 +211,17 @@ def construction_steps(s: int, t: int) -> tuple[int, ...]:
     return tuple(sorted(steps))
 
 
-@dataclass(frozen=True)
-class ConstructionMatrix:
+class ConstructionMatrix(Record):
     """Label matrix of the iterated construction, together with the
     certified circulant it realizes and its induced sums.
 
     Rows index the merged even groups (vertices u_0, u_2, ...), columns
-    the merged odd groups (u_1, u_3, ...).  Row sums of the label matrix
-    are the induced sums of the even vertices; column sums those of the
-    odd vertices.
+    the merged odd groups (u_1, u_3, ...); ``labels[x][y]`` is a label or
+    None.  Row sums of the label matrix are the induced sums of the even
+    vertices; column sums those of the odd vertices.
     """
 
-    s: int
-    t: int
-    n: int
-    arrays: EvenOddArrays
-    labels: tuple[tuple[Optional[int], ...], ...]
-    spec: CirculantSpec
-    graph: Graph
-    labeling: EdgeLabeling
-    sums: tuple[int, ...]
+    _fields = ("s", "t", "n", "arrays", "labels", "spec", "graph", "labeling", "sums")
 
     @property
     def order(self) -> int:
@@ -283,7 +271,7 @@ def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
     n = 2 ** (2 * s - 1) * (t + 2)
     size = 2 ** (s - 1) * (t + 2)
     index = arrays.index
-    labels: list[list[Optional[int]]] = [[None] * size for _ in range(size)]
+    labels: list[list[int | None]] = [[None] * size for _ in range(size)]
     for j, label in enumerate(c_labeling(n).labels):
         even, odd = (j, j + 1) if j % 2 == 0 else ((j + 1) % n, j)
         x, y = index[even], index[odd]

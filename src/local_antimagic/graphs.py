@@ -8,16 +8,17 @@ edge deletion) preserves the indices of surviving edges so that edge
 labelings carry over unchanged, and builds the columns of its result in
 one pass, with no tuple per edge and no intermediate graph.  Every graph
 passes one check of its columns; loops are never allowed, parallel edges are.
+
+``Record`` is the base of the library's immutable records, here and in
+the construction modules.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, compress, islice
 from operator import eq, index, itemgetter, lt
-from typing import Optional
 
 
 class CertificationError(AssertionError):
@@ -25,8 +26,57 @@ class CertificationError(AssertionError):
     never bad input.  An AssertionError, so existing handlers catch it."""
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
-class Graph:
+class Record:
+    """An immutable record of the fields named in ``_fields``.
+
+    It is built from the fields in order, by position or by keyword, and
+    compares equal to a record of the same class with equal fields.  Its
+    hash and its repr are those of the fields, as a frozen dataclass has
+    them.  Assigning or deleting any attribute raises AttributeError.  A
+    record that converts or checks its fields defines its own
+    ``__init__``.  Attributes derived at init are kept out of
+    ``_fields``, so equality, hash and repr ignore them.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:
+            try:
+                args += tuple(map(kwargs.pop, fields[len(args):]))
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__}() is missing field {exc}") from None
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        vars(self).update(zip(fields, args))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(Record):
     """Immutable loop-free multigraph on vertices ``0..n-1`` with ``q`` edges.
 
     Edge i joins ``us[i]`` and ``vs[i]``: every graph stores its edges as
@@ -43,7 +93,8 @@ class Graph:
     provenance, and a derived graph only the function that builds it.
     """
 
-    n: int
+    # Equality and hash read these; the repr shows n and the edges.
+    _fields = ("n", "us", "vs", "provenance")
 
     def __init__(self, n: int, edges, provenance=()):
         us, vs = _split(edges)
@@ -63,15 +114,6 @@ class Graph:
     @cached_property
     def provenance(self) -> tuple[tuple[str, ...], ...]:
         return _provenance(self.n, self._names)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n == other.n and self.us == other.us and self.vs == other.vs
-                and self.provenance == other.provenance)
-
-    def __hash__(self):
-        return hash((self.n, self.us, self.vs, self.provenance))
 
     def __reduce__(self):
         # Columns as they are, names only when not trivial; a function is not picklable.
@@ -114,7 +156,7 @@ class Graph:
         return self.n > 0 and len(set(self.degrees)) == 1
 
     @cached_property
-    def _traversal(self) -> tuple[tuple[tuple[int, ...], ...], Optional[list[int]]]:
+    def _traversal(self) -> tuple[tuple[tuple[int, ...], ...], list[int] | None]:
         """One breadth-first pass over the neighbors: the connected
         components in order of their least vertex, each in breadth-first
         order from it, and the 2-coloring that gives each component's least
@@ -146,10 +188,13 @@ class Graph:
 
 def _keep_checked(g: Graph, n: int, us, vs, provenance) -> None:
     """Keep the end columns ``us`` and ``vs`` in ``g`` once they pass the
-    one edge check, which raises even under ``python -O``: on a negative n,
-    on columns of unequal length, then at the first edge with a non-int end,
-    a loop or an end outside ``0..n-1``.  One plain loop: at 10 and 6.5*10^4
-    edges it beat C-level passes over the columns (type, min, max, eq)."""
+    one edge check, which raises even under ``python -O``: on an n that is
+    not an int by ``_index`` or is negative, on columns of unequal length,
+    then at the first edge with a non-int end, a loop or an end outside
+    ``0..n-1``.  One plain loop: at 10 and 6.5*10^4 edges it beat C-level
+    passes over the columns (type, min, max, eq)."""
+    if type(n) is not int:
+        n = _int(n, "vertex count")
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if len(us) != len(vs):
@@ -188,6 +233,25 @@ def _index(x):
     return x if isinstance(x, bool) or not hasattr(x, "__index__") else index(x)
 
 
+def _int(x, what: str) -> int:
+    """``x`` by ``_index``; ValueError naming ``what`` when that is not an
+    exact int."""
+    x = _index(x)
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an int")
+    return x
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of exact ints, each by ``_int``; a tuple of
+    exact ints is kept as it is."""
+    if type(values) is not tuple or not set(map(type, values)) <= {int}:
+        values = tuple(values)
+        if not set(map(type, values)) <= {int}:
+            values = tuple([_int(x, what) for x in values])
+    return values
+
+
 def _stored_names(n: int, provenance):
     """What a graph keeps of ``provenance``: None for the trivial one, a
     function as it is, else the entries as tuples of strs."""
@@ -210,64 +274,59 @@ def _provenance(n: int, names) -> tuple[tuple[str, ...], ...]:
     return prov
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
+class CirculantSpec(Record):
     """Connection set for a circulant graph C_m(a_0, ..., a_t).
 
-    Every step must be coprime to the modulus; non-coprime steps (which
-    would split into disjoint cycles) are rejected.
+    Steps are converted by ``_int``.  Every step must be coprime to the
+    modulus; non-coprime steps (which would split into disjoint cycles)
+    are rejected.
     """
 
-    m: int
-    steps: tuple[int, ...]
+    _fields = ("m", "steps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(int(a) for a in self.steps))
-        if self.m < 3:
+    def __init__(self, m: int, steps: tuple[int, ...]):
+        steps = _ints(steps, "step")
+        if m < 3:
             raise ValueError("modulus must be at least 3")
-        if not self.steps:
+        if not steps:
             raise ValueError("at least one step is required")
-        if len(set(self.steps)) != len(self.steps):
+        if len(set(steps)) != len(steps):
             raise ValueError("duplicate steps are not allowed")
-        if list(self.steps) != sorted(self.steps):
+        if list(steps) != sorted(steps):
             raise ValueError("steps must be strictly increasing")
-        half = (self.m + 1) // 2  # ceil(m/2)
-        for a in self.steps:
+        half = (m + 1) // 2  # ceil(m/2)
+        for a in steps:
             if not 1 <= a < half:
-                raise ValueError(f"step {a} outside [1, ceil(m/2)) for m={self.m}")
-            if math.gcd(a, self.m) != 1:
+                raise ValueError(f"step {a} outside [1, ceil(m/2)) for m={m}")
+            if math.gcd(a, m) != 1:
                 raise ValueError(
-                    f"unsupported step {a}: gcd({a},{self.m}) > 1 gives disjoint cycles"
+                    f"unsupported step {a}: gcd({a},{m}) > 1 gives disjoint cycles"
                 )
+        super().__init__(m, steps)
 
 
-@dataclass(frozen=True)
-class MergePlan:
+class MergePlan(Record):
     """Partition of the vertices of C_n into merge blocks.
 
     Blocks of kind 'A' may contain only even indices, kind 'B' only odd
     indices; kind 'C' may mix parities (the special block of odd-order
     transforms).  Whether a block would create a loop is checked against
     the actual graph at merge time.  Blocks are kept as sorted tuples of
-    ints, and blocks that already are need no per-block conversion.
+    ints, each converted by ``_int``, and blocks that already are need no
+    per-block conversion.  ``rank[v]`` is the vertex that v's block merges
+    into: blocks rank by their least vertex, so the block of vertex 0
+    becomes vertex 0.
     """
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-    kinds: tuple[str, ...]
-    # rank[v] is the vertex that v's block merges into: blocks rank by
-    # their least vertex, so the block of vertex 0 becomes vertex 0.
-    rank: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("n", "blocks", "kinds")
 
-    def __post_init__(self):
-        blocks, n = self.blocks, self.n
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...], kinds: tuple[str, ...]):
         if not _sorted_int_tuples(blocks):
-            blocks = tuple(tuple(sorted(map(int, block))) for block in blocks)
-            object.__setattr__(self, "blocks", blocks)
-        if len(self.kinds) != len(blocks):
+            blocks = tuple(tuple(sorted(_ints(block, "block end"))) for block in blocks)
+        if len(kinds) != len(blocks):
             raise ValueError("one kind per block required")
         least = [-1] * n  # the least vertex of each vertex's block
-        for block, kind in zip(blocks, self.kinds):
+        for block, kind in zip(blocks, kinds):
             if kind not in ("A", "B", "C"):
                 raise ValueError(f"unknown block kind {kind!r}")
             if not block:
@@ -291,7 +350,8 @@ class MergePlan:
         order = [0] * n
         for r, v in enumerate(sorted(map(itemgetter(0), blocks))):
             order[v] = r
-        object.__setattr__(self, "rank", tuple(map(order.__getitem__, least)))
+        super().__init__(n, blocks, kinds)
+        vars(self)["rank"] = tuple(map(order.__getitem__, least))
 
 
 def _sorted_int_tuples(blocks) -> bool:
@@ -441,7 +501,7 @@ def delete_edge(g: Graph, e: int) -> Graph:
                             partial(_provenance, g.n, g._names))
 
 
-def first_coloring(g: Graph, k: int, vertices=None) -> Optional[dict[int, int]]:
+def first_coloring(g: Graph, k: int, vertices=None) -> dict[int, int] | None:
     """The lexicographically first proper k-coloring of the vertices, or
     of those in ``vertices`` (say, a component), taken highest degree
     first and on ties in the order given, as a color per vertex, or None
@@ -471,7 +531,7 @@ def first_coloring(g: Graph, k: int, vertices=None) -> Optional[dict[int, int]]:
     return color if i == n else None
 
 
-def partite_classes(g: Graph, k: int) -> Optional[list[list[int]]]:
+def partite_classes(g: Graph, k: int) -> list[list[int]] | None:
     """A proper k-partition into independent sets, or None if none exists.
 
     Parallel edges count as a single adjacency.  k=2 reads the 2-coloring
@@ -486,7 +546,7 @@ def partite_classes(g: Graph, k: int) -> Optional[list[list[int]]]:
     return [[v for v in range(g.n) if color[v] == c] for c in range(k)]
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> Optional[list[int]]:
+def are_isomorphic(g1: Graph, g2: Graph) -> list[int] | None:
     """A vertex bijection carrying g1 onto g2 (multiplicities included), or None.
 
     Plain backtracking with degree and neighborhood-degree pruning;

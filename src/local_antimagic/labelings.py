@@ -10,31 +10,24 @@ of parallel edges count as adjacent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
-from .graphs import CertificationError, Graph, _index, partite_classes
+from .graphs import CertificationError, Graph, Record, _ints, partite_classes
 
 
-@dataclass(frozen=True)
-class EdgeLabeling:
+class EdgeLabeling(Record):
     """Labels by edge index: ``labels[i]`` is the label of edge i.  A tuple
     of exact ints is kept as it is; any other label is converted by
     ``operator.index`` (a numpy int, say), and a bool, a float or a str
     raises ValueError."""
 
-    labels: tuple[int, ...]
+    _fields = ("labels",)
 
-    def __post_init__(self):
-        labels = self.labels
+    def __init__(self, labels: tuple[int, ...]):
+        # Checked and kept by hand, not by Record.__init__: every
+        # construction and every oracle job builds a labeling.
         if type(labels) is not tuple or not set(map(type, labels)) <= {int}:
-            labels = tuple(labels)
-            if not set(map(type, labels)) <= {int}:
-                labels = tuple(map(_index, labels))
-                for x in labels:
-                    if type(x) is not int:
-                        raise ValueError(f"label {x!r} is not an int")
-            object.__setattr__(self, "labels", labels)
+            labels = _ints(labels, "label")
+        vars(self)["labels"] = labels
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -43,13 +36,16 @@ class EdgeLabeling:
         return self.labels[i]
 
 
-@dataclass(frozen=True)
-class InducedColoring:
+class InducedColoring(Record):
     """Per-vertex induced sums, the distinct sums, and any adjacent ties."""
 
-    sums: tuple[int, ...]
-    colors: frozenset[int]
-    conflicts: tuple[tuple[int, int], ...]
+    _fields = ("sums", "colors", "conflicts")
+
+    def __init__(self, sums: tuple[int, ...], colors: frozenset[int],
+                 conflicts: tuple[tuple[int, int], ...]):
+        # Kept by hand, as EdgeLabeling's labels are: every check builds one.
+        kept = vars(self)
+        kept["sums"], kept["colors"], kept["conflicts"] = sums, colors, conflicts
 
     def classes(self) -> dict[int, list[int]]:
         by_sum: dict[int, list[int]] = {}
@@ -78,7 +74,7 @@ def induced_coloring(g: Graph, f: EdgeLabeling) -> InducedColoring:
 
 
 def certify(what: str, g: Graph, f: EdgeLabeling,
-            expected: Optional[frozenset[int]] = None) -> InducedColoring:
+            expected: frozenset[int] | None = None) -> InducedColoring:
     """The induced coloring of the construction ``what``, checked: raises
     CertificationError when the labels are not a bijection onto 1..q, when
     two adjacent vertices share a sum or, given ``expected``, when the
@@ -183,21 +179,16 @@ def deleted_edge_labeling(g: Graph, f: EdgeLabeling, e: int) -> EdgeLabeling:
     return EdgeLabeling(tuple(x - 1 for i, x in enumerate(f.labels) if i != e))
 
 
-@dataclass(frozen=True)
-class TwoColorVerdict:
+class TwoColorVerdict(Record):
     """Outcome of the necessary conditions for a 2-color labeling.
 
     These conditions are necessary, never sufficient: graphs exist that
     pass all of them yet admit no 2-color local antimagic labeling.
+    ``part_sizes`` is None when the graph is not bipartite.
     """
 
-    bipartite: bool
-    part_sizes: tuple[int, int] | None
-    sizes_distinct: bool
-    divisibility_ok: bool
-    pendant_count: int
-    even_size_pendant_violation: bool
-    two_colors_possible: bool
+    _fields = ("bipartite", "part_sizes", "sizes_distinct", "divisibility_ok",
+               "pendant_count", "even_size_pendant_violation", "two_colors_possible")
 
     @property
     def forced_at_least_three(self) -> bool:

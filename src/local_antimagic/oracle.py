@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple, Optional
 
 from .circulants import c_labeling, c_labeling_sums, circulant_colors
-from .graphs import CirculantSpec, Graph, are_isomorphic, build_circulant, first_coloring
+from .graphs import CirculantSpec, Graph, Record, are_isomorphic, build_circulant, first_coloring
 from .labelings import EdgeLabeling, certify, check_two_color_necessary
 
 
@@ -45,36 +44,48 @@ def _default_max_edges() -> int:
     return int(raw)
 
 
-@dataclass
-class SearchBudget:
-    max_edges: int = field(default_factory=_default_max_edges)
-    node_limit: Optional[int] = None
-    time_limit: Optional[float] = None
+class SearchBudget(Record):
+    """The limits of one search: the edges it may take (by default
+    ANTIMAGIC_BUDGET_EDGES, read when the budget is made, or 10), and
+    optionally its nodes and its seconds."""
+
+    _fields = ("max_edges", "node_limit", "time_limit")
+    # Unlike a record, a budget may be changed, and so has no hash.
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, max_edges: int | None = None, node_limit: int | None = None,
+                 time_limit: float | None = None):
+        self.max_edges = _default_max_edges() if max_edges is None else max_edges
+        self.node_limit = node_limit
+        self.time_limit = time_limit
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """Why χ_la lies where it does: the proven lower bound and the upper
-    bound that met it, each with its source."""
+    bound that met it, each with its source.  ``lower_source`` is
+    "chromatic number", "two-sum conditions" or "pendants";
+    ``upper_source`` "search witness" or the construction, e.g. "cycle
+    labeling C_5"."""
 
-    lower: int
-    lower_source: str  # "chromatic number", "two-sum conditions" or "pendants"
-    upper: int
-    upper_source: str  # "search witness" or the construction, e.g. "cycle labeling C_5"
+    _fields = ("lower", "lower_source", "upper", "upper_source")
 
 
 # One exhaustive search: the color count k, its nodes and its seconds.
-SearchRun = NamedTuple("SearchRun", [("k", int), ("nodes", int), ("seconds", float)])
+SearchRun = namedtuple("SearchRun", ["k", "nodes", "seconds"])
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    value: int
-    witness: EdgeLabeling
-    nodes: int
-    seconds: float
-    bounds: Bounds
-    searches: tuple[SearchRun, ...] = ()
+class OracleResult(Record):
+    """χ_la (``value``) with a witness labeling, the search nodes and
+    seconds it took, its ``Bounds`` and a ``SearchRun`` per k searched."""
+
+    _fields = ("value", "witness", "nodes", "seconds", "bounds", "searches")
+
+    def __init__(self, value: int, witness: EdgeLabeling, nodes: int, seconds: float,
+                 bounds: Bounds, searches: tuple[SearchRun, ...] = ()):
+        # Kept by hand, not by Record.__init__: every oracle job builds one.
+        kept = vars(self)
+        kept["value"], kept["witness"], kept["nodes"] = value, witness, nodes
+        kept["seconds"], kept["bounds"], kept["searches"] = seconds, bounds, searches
 
 
 def chromatic_number(g: Graph) -> int:
@@ -90,7 +101,7 @@ def chromatic_number(g: Graph) -> int:
     return k
 
 
-def _cycle(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
+def _cycle(g: Graph) -> tuple[EdgeLabeling, str] | None:
     """``c_labeling(n)`` carried onto g and its source, when g is one cycle
     on n >= 3 vertices; else None.  A walk from vertex 0 gives step j the
     label of edge j: the map ``are_isomorphic`` finds from C_n.  Where every
@@ -112,7 +123,7 @@ def _cycle(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
     return carried, source
 
 
-def _construction(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
+def _construction(g: Graph) -> tuple[EdgeLabeling, str] | None:
     """The library's 3-sum labeling of g and its source, when g is an
     even-order circulant C_n(1, S) with odd steps; else None.
 
@@ -144,7 +155,7 @@ def _construction(g: Graph) -> Optional[tuple[EdgeLabeling, str]]:
     return carried, source
 
 
-def _bounds(g: Graph, k: int) -> tuple[int, str, Optional[tuple[EdgeLabeling, str]]]:
+def _bounds(g: Graph, k: int) -> tuple[int, str, tuple[EdgeLabeling, str] | None]:
     """A lower bound on χ_la and its source, and the library's certified
     3-sum labeling of g with its source where one meets it, else None.  In
     order: a cycle settled by the walk of ``_cycle``, with no other pass
@@ -237,7 +248,7 @@ class _Search:
             depths.append((u, v, first if i == 0 else g.q, checks, len(checks)))
         return depths + [(0, 0, 0, (), 0)]
 
-    def run(self, max_colors: int) -> Optional[list[int]]:
+    def run(self, max_colors: int) -> list[int] | None:
         """First labeling found with at most max_colors distinct sums.  The
         limits apply per run; ``nodes`` and ``runs`` add up every run."""
         g, b, depths, q = self.g, self.budget, self.depths, self.g.q
@@ -333,8 +344,8 @@ class _Search:
 
 
 def feasible_with_colors(
-    g: Graph, k: int, budget: Optional[SearchBudget] = None
-) -> Optional[EdgeLabeling]:
+    g: Graph, k: int, budget: SearchBudget | None = None
+) -> EdgeLabeling | None:
     """A local antimagic labeling of g with at most k distinct sums, or
     None after an exhaustive search finds none.  Neither answer needs a
     search when the bounds of ``_bounds`` settle it: None for any k below
@@ -350,7 +361,7 @@ def feasible_with_colors(
     return EdgeLabeling(tuple(found)) if found is not None else None
 
 
-def exact_chi_la(g: Graph, budget: Optional[SearchBudget] = None) -> OracleResult:
+def exact_chi_la(g: Graph, budget: SearchBudget | None = None) -> OracleResult:
     """Exact minimum number of induced sums over all local antimagic
     labelings, with a witness labeling and the bounds that settle it.
 

@@ -11,10 +11,9 @@ and reports per-claim status; the CLI exposes this as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
-from .graphs import CirculantSpec, Graph, build_cycle
+from .graphs import CirculantSpec, Graph, Record, build_cycle
 from .labelings import (
     check_two_color_necessary,
     color_count,
@@ -160,10 +159,11 @@ def claim_small_oracle():
     _check(feasible_with_colors(g, 3) is not None, "no 3-sum labeling")
 
 
-@dataclass(frozen=True)
-class Claim:
-    name: str
-    run: Callable[[], None]
+class Claim(Record):
+    """A headline result by name, and the callable ``run`` that re-derives
+    it or raises."""
+
+    _fields = ("name", "run")
 
 
 CLAIMS = [

@@ -15,15 +15,16 @@ JSON text goes through ``json.loads``.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Iterator
+from io import TextIOBase
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Iterator, Optional, TextIO
 
-from .graphs import Graph, _index
+from .graphs import Graph, _index, _int
 from .labelings import EdgeLabeling, induced_coloring
 
 
-def graph_to_dict(g: Graph) -> dict[str, Any]:
+def graph_to_dict(g: Graph) -> dict[str, object]:
     """The graph's own tuples, which serialize as JSON lists."""
     return {"n": g.n, "edges": g.edges, "provenance": g.provenance}
 
@@ -34,16 +35,14 @@ def graph_to_dict(g: Graph) -> dict[str, Any]:
 _SPARE_VERTICES = 1 << 16
 
 
-def graph_from_dict(data: dict[str, Any]) -> Graph:
+def graph_from_dict(data: dict[str, object]) -> Graph:
     """``Graph`` converts the edges and provenance entries itself, and keeps
     nothing for a trivial provenance list.  A vertex count that neither the
     provenance entries nor the edges can back raises ValueError first, then
     one that is not an int (a bool, a float, a str)."""
     n, edges, provenance = _index(data["n"]), data["edges"], data.get("provenance") or ()
     _check_backed(n, edges, provenance)
-    if type(n) is not int:
-        raise ValueError(f"vertex count {n!r} is not an int")
-    return Graph(n, edges, provenance)
+    return Graph(_int(n, "vertex count"), edges, provenance)
 
 
 def _check_backed(n, edges, provenance) -> None:
@@ -54,15 +53,15 @@ def _check_backed(n, edges, provenance) -> None:
                          % (n, len(edges), len(provenance)))
 
 
-def document(g: Graph, f: Optional[EdgeLabeling] = None, /, **extra) -> dict[str, Any]:
-    doc: dict[str, Any] = {"graph": graph_to_dict(g)}
+def document(g: Graph, f: EdgeLabeling | None = None, /, **extra) -> dict[str, object]:
+    doc: dict[str, object] = {"graph": graph_to_dict(g)}
     if f is not None:
         doc["labels"] = f.labels
     doc.update(extra)
     return doc
 
 
-def parse_document(text: str) -> tuple[Graph, Optional[EdgeLabeling], dict[str, Any]]:
+def parse_document(text: str) -> tuple[Graph, EdgeLabeling | None, dict[str, object]]:
     """The graph, labeling (None when absent) and remaining fields of a
     document.  A malformed document raises ValueError naming the field;
     labels must be a JSON list.  A text in the library's own layout is read
@@ -167,7 +166,7 @@ def _rows(row: str, sep: str, columns, lead: str) -> Iterator[str]:
     width = len(columns)
     for start in range(0, len(columns[0]), _SLICE):
         part = [column[start:start + _SLICE] for column in columns]
-        flat: list[Any] = [None] * (width * len(part[0]))
+        flat: list[object] = [None] * (width * len(part[0]))
         for j, column in enumerate(part):
             flat[j::width] = column
         yield (sep if start else lead) + sep.join([row] * len(part[0])) % tuple(flat)
@@ -180,7 +179,7 @@ def _json_rows(row: str, inner: str, columns) -> Iterable[str]:
     return chain(_rows(row, "," + inner, columns, "[" + inner), [inner[:-2] + "]"])
 
 
-def write_document(fp: TextIO, g: Graph, f: Optional[EdgeLabeling] = None, /, **extra) -> None:
+def write_document(fp: TextIOBase, g: Graph, f: EdgeLabeling | None = None, /, **extra) -> None:
     """``write_json(document(g, f, **extra), fp)`` without building ``g.edges``
     or a trivial ``g.provenance``; ``extra`` holds no 'graph' or 'labels'."""
     fp.write(_HEAD + "%d" % g.n + _EDGES)
@@ -206,7 +205,7 @@ _SLICE = 4096
 _INDENTED = json.JSONEncoder(indent=2)
 
 
-def write_json(value: Any, fp: TextIO, nl: str = "\n") -> None:
+def write_json(value: object, fp: TextIOBase, nl: str = "\n") -> None:
     """Write ``value`` to ``fp`` exactly as ``json.dump(value, fp, indent=2)``
     does, indented as when ``nl`` (a newline and an indent) starts it.
     Lists of exact ints, lists of non-empty rows of exact ints or of exact
@@ -235,7 +234,7 @@ def write_json(value: Any, fp: TextIO, nl: str = "\n") -> None:
     fp.write("".join(_INDENTED.iterencode(value)).replace("\n", nl))
 
 
-def _slice_renderer(items, inner: str) -> Optional[Callable[[Any], str]]:
+def _slice_renderer(items, inner: str) -> Callable[[object], str] | None:
     """The function giving the JSON text of a slice of ``items``, items
     separated and indented as when ``inner`` starts the first, or None
     unless ``items`` takes a fast path.  A slice of rows is one %-format
@@ -260,7 +259,7 @@ def _slice_renderer(items, inner: str) -> Optional[Callable[[Any], str]]:
                          % args(chain.from_iterable(part)))
 
 
-def to_dot(g: Graph, f: Optional[EdgeLabeling] = None) -> str:
+def to_dot(g: Graph, f: EdgeLabeling | None = None) -> str:
     """Graphviz text; with a labeling, vertices show their induced sums and
     edges their labels.  Rendered from the columns, trivial names from n."""
     names = range(g.n) if g._names is None else [*map(",".join, g.provenance)]

@@ -9,35 +9,35 @@ incident to the shared central vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Union
 
 from .graphs import (
     CertificationError,
     CirculantSpec,
     Graph,
-    MergePlan,
+    Record,
     _circulant_part,
     _cycle_part,
+    _ints,
     _merged_part,
     _union,
 )
 from .labelings import EdgeLabeling, certify, validate_labeling
 
 
-@dataclass(frozen=True)
-class UnionSpec:
-    """Orders of the cycles in a one-point union, in attachment order."""
+class UnionSpec(Record):
+    """Orders of the cycles in a one-point union, in attachment order,
+    each converted by ``_int``."""
 
-    orders: tuple[int, ...]
+    _fields = ("orders",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(a) for a in self.orders))
-        if len(self.orders) < 2:
+    def __init__(self, orders: tuple[int, ...]):
+        orders = _ints(orders, "cycle order")
+        if len(orders) < 2:
             raise ValueError("a union needs at least two cycles")
-        if any(a < 3 for a in self.orders):
+        if any(a < 3 for a in orders):
             raise ValueError("every cycle order must be at least 3")
+        super().__init__(orders)
 
     @property
     def r(self) -> int:
@@ -52,13 +52,10 @@ def union_graph(spec: UnionSpec) -> Graph:
     return _union([_cycle_part(a) for a in spec.orders], [0] * spec.r)
 
 
-@dataclass(frozen=True)
-class UnionLabelingResult:
-    spec: UnionSpec
-    graph: Graph
-    labeling: EdgeLabeling
-    colors: frozenset[int]
-    central_sum: int
+class UnionLabelingResult(Record):
+    """A labeled union, its distinct sums and the sum at its central vertex."""
+
+    _fields = ("spec", "graph", "labeling", "colors", "central_sum")
 
 
 def _finish(spec: UnionSpec, labels: list[int],
@@ -147,41 +144,35 @@ def union_3labeling(spec: UnionSpec) -> UnionLabelingResult:
     return _finish(spec, labels, frozenset({m, m + 1, central}), central)
 
 
-@dataclass(frozen=True)
-class KeepCycle:
+class KeepCycle(Record):
     """Leave one cycle of the union untouched."""
 
-    cycle: int
+    _fields = ("cycle",)
 
 
-@dataclass(frozen=True)
-class FuseCycles:
+class FuseCycles(Record):
     """Lay two equal-order cycles on C_n(1, step): the first cycle's labels
     go to the consecutive edges, the second's to the step-cycle edges in
     traversal order from vertex 0."""
 
-    first: int
-    second: int
-    step: int
+    _fields = ("first", "second", "step")
 
 
-@dataclass(frozen=True)
-class MergeCycle:
-    """Collapse one cycle by a vertex merge plan of matching order."""
+class MergeCycle(Record):
+    """Collapse one cycle by a vertex merge plan (a ``MergePlan``) of
+    matching order."""
 
-    cycle: int
-    plan: MergePlan
-
-
-Directive = Union[KeepCycle, FuseCycles, MergeCycle]
+    _fields = ("cycle", "plan")
 
 
-@dataclass(frozen=True)
-class UnionTransformResult:
-    graph: Graph
-    labeling: EdgeLabeling
-    colors: frozenset[int]
-    central_sum: int
+Directive = KeepCycle | FuseCycles | MergeCycle
+
+
+class UnionTransformResult(Record):
+    """The rebuilt union, its labeling, its distinct sums and the sum at
+    its central vertex."""
+
+    _fields = ("graph", "labeling", "colors", "central_sum")
 
 
 def transform_union(

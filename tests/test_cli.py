@@ -173,6 +173,7 @@ def test_oracle_stats_add_the_bounds(capsys, monkeypatch):
     assert code == 0 and (report["chi_la"], report["nodes"]) == (3, 0)
     assert report["bounds"] == {"lower": 3, "lower_source": "two-sum conditions",
                                 "upper": 3, "upper_source": "cycle labeling C_6"}
+    assert list(report["bounds"]) == ["lower", "lower_source", "upper", "upper_source"]
     assert report["searches"] == []
     monkeypatch.setattr("sys.stdin", io.StringIO(built))
     with pytest.raises(SystemExit) as err:
@@ -676,26 +677,40 @@ def run_as_main(*argv: str) -> str:
 VERIFY_INPUT = json.dumps(document(build_cycle(4), c_labeling(4)), indent=2)
 
 
+READ_VERIFY_INPUT = f"sys.stdin = io.StringIO({VERIFY_INPUT!r})\n"
+
+
 @pytest.mark.parametrize(
-    "child",
+    "child,modules",
     [
-        "import local_antimagic\n",
-        run_as_main("label", "c", "--m", "16"),
-        f"sys.stdin = io.StringIO({VERIFY_INPUT!r})\n" + run_as_main("verify"),
+        ("import local_antimagic\n", set()),
+        (run_as_main("label", "c", "--m", "16"), {"cli", "serialize", "circulants"}),
+        (READ_VERIFY_INPUT + run_as_main("verify"), {"cli", "serialize"}),
+        (run_as_main("label", "union2a", "--r", "3"), {"cli", "serialize", "unions"}),
+        (run_as_main("transform", "case", "--case", "1", "--k", "50"),
+         {"cli", "serialize", "circulants", "cycle_merge"}),
+        (READ_VERIFY_INPUT + run_as_main("export", "dot"), {"cli", "serialize"}),
     ],
-    ids=["import", "label-c", "verify"],
+    ids=["import", "label-c", "verify", "label-union2a", "transform-case", "export-dot"],
 )
-def test_numpy_stays_off_the_import_path(child):
-    # Nor do the oracle and reproduce-all, which these commands never run.
-    code = "import io, sys\n" + child + (
-        "sys.exit(97 if 'numpy' in sys.modules else 98 if {'local_antimagic.oracle', "
-        "'local_antimagic.reproduce'} & set(sys.modules) else 0)\n")
+def test_numpy_stays_off_the_import_path(child, modules):
+    # Each command loads graphs and labelings, which all use, and only the
+    # other package modules it runs, so never the oracle or reproduce-all.
+    # No module loads numpy, or dataclasses and the inspect module it needs.
+    code = "import io, json, sys\nout = sys.stdout\nsys.stdout = io.StringIO()\n" + child + (
+        "print(json.dumps([sorted(name for name in sys.modules if name.startswith("
+        "'local_antimagic.')), [name for name in ('numpy', 'dataclasses', 'inspect') "
+        "if name in sys.modules]]), file=out)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    loaded, unwanted = json.loads(proc.stdout)
+    expected = {"graphs", "labelings", *modules}
+    assert loaded == sorted(f"local_antimagic.{name}" for name in expected)
+    assert unwanted == []
 
 
 def test_every_public_name_resolves_and_is_listed():

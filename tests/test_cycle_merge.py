@@ -216,7 +216,6 @@ def test_construction_matrix_s3_t2_reproduces_recorded_instance():
 
 # Arrays with odd 1 replaced by a second copy of odd 9: not a partition.
 BROKEN_ARRAYS = """
-import dataclasses
 import local_antimagic.cycle_merge as cycle_merge
 
 real_arrays = cycle_merge.build_even_odd_arrays
@@ -225,7 +224,7 @@ def broken_arrays(s, t):
     arrays = real_arrays(s, t)
     odds = [list(row) for row in arrays.odds]
     odds[0][0] = odds[1][0]
-    return dataclasses.replace(arrays, odds=tuple(map(tuple, odds)))
+    return cycle_merge.EvenOddArrays(arrays.evens, tuple(map(tuple, odds)))
 """
 
 
@@ -256,9 +255,9 @@ def test_construction_matrix_rejects_broken_arrays_under_optimize():
 
 def test_partition_is_checked_once_per_matrix_build(monkeypatch):
     checks = []
-    check = cycle_merge.EvenOddArrays.__post_init__
-    monkeypatch.setattr(cycle_merge.EvenOddArrays, "__post_init__",
-                        lambda arrays: checks.append(check(arrays)))
+    check = cycle_merge.EvenOddArrays.__init__
+    monkeypatch.setattr(cycle_merge.EvenOddArrays, "__init__",
+                        lambda arrays, *fields: checks.append(check(arrays, *fields)))
     build_construction_matrix(3, 2)
     assert len(checks) == 1
 

@@ -4,6 +4,7 @@ import operator
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,19 @@ def test_no_loops_or_bad_edges():
         build_cycle(2)
 
 
+def test_vertex_count_is_an_int_by_index():
+    # Converted by operator.index, as the ends are: a numpy int passes and
+    # a bool, a float or a str is refused, not kept.
+    for n in (np.int64(3), np.int32(3)):
+        for g in (Graph(n, ((0, 1),)), Graph._from_ends(n, (0,), (1,))):
+            assert type(g.n) is int and g.n == 3 and g.degrees == (1, 1, 0)
+    for bad in (3.0, True, "3"):
+        for build in (lambda: Graph(bad, ((0, 1),)), lambda: Graph._from_ends(bad, (), ())):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == f"vertex count {bad!r} is not an int"
+
+
 def test_parallel_edges_allowed():
     g = Graph(2, ((0, 1), (0, 1)))
     assert not g.is_simple()
@@ -79,6 +93,16 @@ def test_circulant_spec_validation():
         CirculantSpec(16, (1, 8))
     with pytest.raises(ValueError):
         CirculantSpec(16, (1, 1))
+
+
+def test_circulant_steps_are_ints_by_index():
+    spec = CirculantSpec(9, (np.int64(1), np.int32(2)))
+    assert spec.steps == (1, 2) and {type(a) for a in spec.steps} == {int}
+    assert spec == CirculantSpec(9, (1, 2)) and repr(spec) == "CirculantSpec(m=9, steps=(1, 2))"
+    for bad in (1.9, 1.0, True, "1"):
+        with pytest.raises(ValueError) as info:
+            CirculantSpec(9, (bad,))
+        assert str(info.value) == f"step {bad!r} is not an int"
 
 
 def test_gamma_cycle_sequence():
@@ -128,6 +152,16 @@ def test_merge_rejects_adjacent_block():
         merge_vertices(g, bad)
 
 
+def test_merge_plan_blocks_are_ints_by_index():
+    plan = MergePlan(4, ((np.int64(2), np.int32(0)), (1, 3)), ("A", "B"))
+    assert plan.blocks == ((0, 2), (1, 3)) and type(plan.blocks[0][0]) is int
+    assert plan == MergePlan(4, ((0, 2), (1, 3)), ("A", "B"))
+    for bad in (0.5, 0.0, False, "0"):
+        with pytest.raises(ValueError) as info:
+            MergePlan(4, ((bad, 2), (1, 3)), ("A", "B"))
+        assert str(info.value) == f"block end {bad!r} is not an int"
+
+
 def test_merge_plan_validation():
     with pytest.raises(ValueError, match="odd index"):
         MergePlan(4, ((0, 1), (2,), (3,)), ("A", "A", "B"))
@@ -153,8 +187,12 @@ def test_merge_plan_rejects_blocks_that_are_not_a_partition(n, blocks, kinds):
 
 
 def old_plan_error(n, blocks, kinds):
-    """The message of the block-by-block check MergePlan first had, or None."""
-    blocks = tuple(tuple(sorted(int(v) for v in b)) for b in blocks)
+    """The message of the block-by-block check MergePlan first had, or None;
+    a block end that is not an exact int is refused before any check."""
+    for v in (v for b in blocks for v in b):
+        if type(v) is not int:
+            return f"block end {v!r} is not an int"
+    blocks = tuple(tuple(sorted(b)) for b in blocks)
     if len(kinds) != len(blocks):
         return "one kind per block required"
     covered = [False] * n
@@ -213,6 +251,11 @@ def test_merge_plan_raises_the_messages_of_its_first_check():
         seen.add(expected)
         # Sorted exact-int tuples skip the conversion and must check the same.
         normal = tuple(tuple(sorted(map(int, b))) for b in blocks)
+        if expected is not None and expected.startswith("block end"):
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                MergePlan(n, tuple(map(tuple, blocks)), tuple(kinds))
+            expected = old_plan_error(n, normal, tuple(kinds))
+            blocks = normal
         if expected is None:
             plan = MergePlan(n, tuple(map(tuple, blocks)), tuple(kinds))
             assert plan.blocks == normal
@@ -226,7 +269,7 @@ def test_merge_plan_raises_the_messages_of_its_first_check():
                 with pytest.raises(ValueError) as info:
                     MergePlan(n, given, tuple(kinds))
                 assert str(info.value) == expected, (n, blocks, kinds)
-    assert len({m.split(" ")[0] for m in seen if m}) == 7 and None in seen
+    assert len({m.split(" ")[0] for m in seen if m}) == 8 and None in seen
 
 
 def test_one_point_union_indices():
@@ -633,7 +676,8 @@ def test_edge_check_survives_optimize():
         "for build in (lambda: Graph(3, [[0, 1.9]]), lambda: EdgeLabeling([1.7, 2]),\n"
         "              lambda: EdgeLabeling((True, 1)),\n"
         "              lambda: graph_from_dict({'n': '3', 'edges': []}),\n"
-        "              lambda: graph_from_dict({'n': 3.0, 'edges': []})):\n"
+        "              lambda: graph_from_dict({'n': 3.0, 'edges': []}),\n"
+        "              lambda: Graph(3.0, ((0, 1),)), lambda: Graph(True, ())):\n"
         "    try:\n"
         "        build()\n"
         "    except ValueError as exc:\n"
@@ -646,6 +690,7 @@ def test_edge_check_survives_optimize():
     assert proc.stdout.splitlines() == [
         "edge end 1.9 is not an int", "label 1.7 is not an int", "label True is not an int",
         "vertex count '3' is not an int", "vertex count 3.0 is not an int",
+        "vertex count 3.0 is not an int", "vertex count True is not an int",
     ], proc.stdout + proc.stderr
 
 

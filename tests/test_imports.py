@@ -1,6 +1,8 @@
-"""Every top-level import of the package's modules is read somewhere in
-its module; ``__future__`` imports and the re-exports of ``__init__.py``
-are exempt."""
+"""Gates on the package's imports.  Every top-level import of a module is
+read somewhere in it; ``__future__`` imports and the re-exports of
+``__init__.py`` are exempt.  No module imports ``dataclasses`` or
+``typing``, and ``cli.py`` imports the construction modules, the oracle
+and ``reproduce`` only inside the commands that run them."""
 
 import ast
 from pathlib import Path
@@ -27,3 +29,32 @@ def unread_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_top_level_import_is_read(path):
     assert unread_imports(path) == []
+
+
+def imported_modules(nodes) -> set[str]:
+    """The modules the import statements among ``nodes`` name, relative
+    ones without their dots (``from . import x`` names x)."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_dataclasses_or_typing(path):
+    # dataclasses costs a cold CLI process about 10 ms, since it pulls in
+    # inspect, ast, dis and tokenize; annotations need no typing import.
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {name.split(".")[0] for name in imported_modules(ast.walk(tree))}
+    assert imported & {"dataclasses", "typing"} == set()
+
+
+def test_cli_imports_what_a_command_runs_inside_the_command():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    lazy = {"circulants", "cycle_merge", "unions", "oracle", "reproduce"}
+    top_level = imported_modules(tree.body)
+    assert top_level & lazy == set() and {"graphs", "labelings", "serialize"} <= top_level
+    assert lazy <= imported_modules(ast.walk(tree))

@@ -1,7 +1,6 @@
 import json
 import random
 import time
-from dataclasses import astuple
 from itertools import permutations
 
 import pytest
@@ -552,7 +551,7 @@ def oracle_pin(g: Graph) -> dict:
     """What exact_chi_la returns on g, but its seconds."""
     result = exact_chi_la(g, SearchBudget(max_edges=g.q))
     return {"value": result.value, "witness": list(result.witness.labels),
-            "nodes": result.nodes, "bounds": list(astuple(result.bounds)),
+            "nodes": result.nodes, "bounds": list(result.bounds._asdict().values()),
             "searches": [[run.k, run.nodes] for run in result.searches]}
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from local_antimagic import (
@@ -34,6 +35,16 @@ def test_union_spec_validation():
         UnionSpec((5,))
     with pytest.raises(ValueError):
         UnionSpec((5, 2))
+
+
+def test_union_orders_are_ints_by_index():
+    spec = UnionSpec((np.int64(3), np.int32(4)))
+    assert spec.orders == (3, 4) and {type(a) for a in spec.orders} == {int}
+    assert spec == UnionSpec((3, 4)) and spec.m == 7
+    for bad in (3.9, 3.0, True, "3"):
+        with pytest.raises(ValueError) as info:
+            UnionSpec((bad, 4))
+        assert str(info.value) == f"cycle order {bad!r} is not an int"
 
 
 @pytest.mark.parametrize("r", range(3, 14))
