@@ -17,6 +17,7 @@ from .graphs import (
     CirculantSpec,
     Graph,
     Record,
+    _int,
     build_circulant,
     verify_vertex_map,
 )
@@ -25,6 +26,7 @@ from .labelings import EdgeLabeling, certify, validate_labeling
 
 def c_labeling(m: int) -> EdgeLabeling:
     """The canonical three-color labeling of C_m."""
+    m = _int(m, "cycle order")
     if m < 3:
         raise ValueError(f"cycle order must be at least 3, got {m}")
     # Even edges j take (j+2)/2 = 1, 2, ...; odd edges m-(j-1)/2 = m, m-1, ...

@@ -34,7 +34,7 @@ from .graphs import (
     build_cycle,
 )
 from .labelings import EdgeLabeling, check_two_color_necessary, induced_coloring
-from .serialize import parse_document, to_dot, write_document, write_json
+from .serialize import read_document, write_document, write_dot, write_json
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -53,13 +53,12 @@ def _emit_document(g: Graph, f: EdgeLabeling | None = None, /, **extra) -> None:
 
 def _read_document(path: str | None) -> tuple[Graph, EdgeLabeling | None, dict]:
     if path in (None, "-"):
-        return parse_document(sys.stdin.read())
+        return read_document(sys.stdin)
     try:
         with open(path) as fp:
-            text = fp.read()
+            return read_document(fp)
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc.strerror}") from None
-    return parse_document(text)
 
 
 def _cmd_build(args) -> int:
@@ -254,7 +253,8 @@ def _cmd_export(args) -> int:
     if args.format == "json":
         _emit_document(g, f, **extra)
     elif args.format == "dot":
-        print(to_dot(g, f))
+        write_dot(sys.stdout, g, f)
+        sys.stdout.write("\n")
     else:
         if f is None:
             raise ValueError("matrix export needs labels")

@@ -24,6 +24,7 @@ from .graphs import (
     Record,
     _circulant_part,
     _cycle_part,
+    _int,
     _merged_part,
     build_circulant,
     sorted_edge_keys,
@@ -43,6 +44,7 @@ def case_plan(case: int, k: int) -> MergePlan:
     7-8 merge a triple into one degree-6 vertex.  Every block is a sorted
     int tuple, so the plan takes no per-block conversion.
     """
+    k = _int(k, "k")
     if k < 2:
         raise ValueError(f"case plans require k >= 2, got {k}")
     a_blocks: list[tuple[int, ...]]

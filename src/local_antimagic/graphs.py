@@ -277,15 +277,15 @@ def _provenance(n: int, names) -> tuple[tuple[str, ...], ...]:
 class CirculantSpec(Record):
     """Connection set for a circulant graph C_m(a_0, ..., a_t).
 
-    Steps are converted by ``_int``.  Every step must be coprime to the
-    modulus; non-coprime steps (which would split into disjoint cycles)
-    are rejected.
+    The modulus and the steps are converted by ``_int``.  Every step must
+    be coprime to the modulus; non-coprime steps (which would split into
+    disjoint cycles) are rejected.
     """
 
     _fields = ("m", "steps")
 
     def __init__(self, m: int, steps: tuple[int, ...]):
-        steps = _ints(steps, "step")
+        m, steps = _int(m, "modulus"), _ints(steps, "step")
         if m < 3:
             raise ValueError("modulus must be at least 3")
         if not steps:
@@ -311,16 +311,17 @@ class MergePlan(Record):
     Blocks of kind 'A' may contain only even indices, kind 'B' only odd
     indices; kind 'C' may mix parities (the special block of odd-order
     transforms).  Whether a block would create a loop is checked against
-    the actual graph at merge time.  Blocks are kept as sorted tuples of
-    ints, each converted by ``_int``, and blocks that already are need no
-    per-block conversion.  ``rank[v]`` is the vertex that v's block merges
-    into: blocks rank by their least vertex, so the block of vertex 0
-    becomes vertex 0.
+    the actual graph at merge time.  n is converted by ``_int``.  Blocks
+    are kept as sorted tuples of ints, each converted by ``_int``, and
+    blocks that already are need no per-block conversion.  ``rank[v]`` is
+    the vertex that v's block merges into: blocks rank by their least
+    vertex, so the block of vertex 0 becomes vertex 0.
     """
 
     _fields = ("n", "blocks", "kinds")
 
     def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...], kinds: tuple[str, ...]):
+        n = _int(n, "cycle order")
         if not _sorted_int_tuples(blocks):
             blocks = tuple(tuple(sorted(_ints(block, "block end"))) for block in blocks)
         if len(kinds) != len(blocks):
@@ -377,6 +378,7 @@ def _part(g: Graph):
 
 
 def _cycle_part(m: int):
+    m = _int(m, "cycle order")
     if m < 3:
         raise ValueError(f"cycle order must be at least 3, got {m}")
     return m, tuple(range(m)), (*range(1, m), 0), None

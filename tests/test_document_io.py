@@ -1,11 +1,14 @@
-"""The columnar document path: ``write_document`` and the own-layout reader
-of ``parse_document`` against ``json.dumps`` and ``json.loads``."""
+"""The columnar document path: ``write_document`` and the streaming reader
+of ``parse_document`` and ``read_document`` against ``json.dumps`` and
+``json.loads``."""
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import re
+import tempfile
 from unittest import mock
 
 import pytest
@@ -25,7 +28,14 @@ from local_antimagic import (
     union_graph,
 )
 from local_antimagic.cli import main
-from local_antimagic.serialize import document, parse_document, to_dot, write_document
+from local_antimagic.serialize import (
+    document,
+    parse_document,
+    read_document,
+    to_dot,
+    write_document,
+    write_dot,
+)
 
 
 def written(g, f=None, /, **extra) -> str:
@@ -34,17 +44,57 @@ def written(g, f=None, /, **extra) -> str:
     return buf.getvalue()
 
 
-def outcome(text: str, fallback: bool = False):
-    """What parse_document makes of ``text``, through json.loads alone if
-    ``fallback``: the graph's columns and names, the labels and the other
-    fields, or the ValueError text."""
-    with mock.patch.object(serialize, "_own_layout", lambda text: None) if fallback \
+class ShortReads:
+    """A text stream that, as a pipe may, gives fewer characters than asked
+    for: 1, 2, 3, 5, 8, 13 or 21 in turn."""
+
+    def __init__(self, text: str):
+        self.text, self.at, self.sizes = text, 0, itertools.cycle([1, 2, 3, 5, 8, 13, 21])
+
+    def read(self, size: int) -> str:
+        part = self.text[self.at:self.at + min(size, next(self.sizes))]
+        self.at += len(part)
+        return part
+
+
+def from_file(text: str):
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as fp:
+        fp.write(text)
+        fp.seek(0)
+        return read_document(fp)
+
+
+SOURCES = {"str": parse_document, "file": from_file,
+           "pipe": lambda text: read_document(ShortReads(text))}
+
+
+def outcome(text: str, fallback: bool = False, source: str = "str"):
+    """What the reader makes of ``text`` from ``source``, through json.loads
+    alone if ``fallback``: the graph's columns and names, the labels and the
+    other fields, or the ValueError text."""
+    with mock.patch.object(serialize, "_read_layout", lambda s: None) if fallback \
             else contextlib.nullcontext():
         try:
-            g, f, extra = parse_document(text)
+            g, f, extra = SOURCES[source](text)
         except ValueError as exc:
             return "error", str(exc)
     return g.n, g.us, g.vs, g.provenance, None if f is None else f.labels, extra
+
+
+def own_layout(text: str):
+    """The parts that the reader takes from ``text`` in the library's
+    layout, or None."""
+    return serialize._read_layout(serialize._Stream(io.StringIO(text).read))
+
+
+def in_windows(text: str, window: int):
+    """With ``window`` characters a window, ``outcome`` of ``text`` from each
+    source, and what the reader rebuilt of it when it left the layout."""
+    with mock.patch.object(serialize, "_WINDOW", window):
+        outcomes = {source: outcome(text, source=source) for source in SOURCES}
+        s = serialize._Stream(io.StringIO(text).read)
+        rebuilt = text if serialize._read_layout(s) is not None else s.whole()
+    return outcomes, rebuilt
 
 
 @pytest.mark.parametrize("q", [0, 1, 4095, 4096, 4097, 8193])
@@ -56,7 +106,7 @@ def test_written_documents_equal_json_dumps_across_slices(q):
     assert "edges" not in vars(g) and "provenance" not in vars(g)
     for text, (labels, extra) in zip(texts, cases):
         assert text == json.dumps(document(g, labels, **extra), indent=2)
-        assert serialize._own_layout(text) is not None
+        assert own_layout(text) is not None
         assert outcome(text) == outcome(text, fallback=True)
 
 
@@ -67,7 +117,7 @@ def test_written_merged_and_union_documents_equal_json_dumps():
         text = written(g, f, family="x", expected_colors=[3, 4])
         assert "edges" not in vars(g)
         assert text == json.dumps(document(g, f, family="x", expected_colors=[3, 4]), indent=2)
-        assert serialize._own_layout(text) is not None
+        assert own_layout(text) is not None
         assert outcome(text) == outcome(text, fallback=True)
 
 
@@ -93,12 +143,19 @@ def documents(draw):
     return written(g, None if labels is None else EdgeLabeling(tuple(labels)), **extra)
 
 
+# Windows far smaller than a document's parts: marks, rows and fields
+# straddle them, and a change is mostly met after some windows were read.
+SMALL_WINDOWS = st.sampled_from([7, 64])
+
+
 @settings(max_examples=300, deadline=None)
-@given(documents())
-def test_the_own_layout_reads_as_json_loads_does(text):
-    assert serialize._own_layout(text) is not None
-    assert outcome(text) == outcome(text, fallback=True)
+@given(documents(), SMALL_WINDOWS)
+def test_the_own_layout_reads_as_json_loads_does(text, window):
+    assert own_layout(text) is not None
+    expected = outcome(text, fallback=True)
+    assert outcome(text) == expected
     assert outcome(text + "\n") == outcome(text + "\n", fallback=True)
+    assert in_windows(text, window) == (dict.fromkeys(SOURCES, expected), text)
 
 
 NUMBER = re.compile(r"-?\d+")
@@ -149,10 +206,12 @@ def mutations(text: str, data) -> str:
 
 
 @settings(max_examples=500, deadline=None)
-@given(documents(), st.data())
-def test_a_changed_document_reads_or_fails_as_under_json_loads(text, data):
+@given(documents(), st.data(), SMALL_WINDOWS)
+def test_a_changed_document_reads_or_fails_as_under_json_loads(text, data, window):
     changed = mutations(text, data)
-    assert outcome(changed) == outcome(changed, fallback=True)
+    expected = outcome(changed, fallback=True)
+    assert outcome(changed) == expected
+    assert in_windows(changed, window) == (dict.fromkeys(SOURCES, expected), changed)
 
 
 @pytest.mark.parametrize(
@@ -170,7 +229,7 @@ def test_a_changed_document_reads_or_fails_as_under_json_loads(text, data):
     ids=["negative-end", "end-out-of-range", "loop", "unbacked-count"],
 )
 def test_an_own_layout_document_fails_with_the_json_loads_error(text, message):
-    assert serialize._own_layout(text) is not None
+    assert own_layout(text) is not None
     assert outcome(text) == outcome(text, fallback=True)
     assert message in outcome(text)[1]
 
@@ -198,6 +257,58 @@ def test_an_own_layout_document_reaches_json_loads_only_for_names_and_extra_fiel
     parse_document(written(merge_vertices(build_cycle(plan.n), plan), None, family="x"))
     assert len(slices) == 2 and not any('"edges"' in s or '"labels"' in s for s in slices)
     assert slices[1] == '{\n  "family": "x"\n}'
+
+
+CYCLE_TEXT = written(build_cycle(2000), c_labeling(2000), family="c", colors=[1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("1999\n      ]", "1999 \n      ]"), ('"1999"', '"01999"'), ("\n    1001\n", "\n    1001.0\n"),
+     ('"family": "c"', '"family": c'), ("\n    3\n  ]\n}", "\n    3\n  ]\n}}")],
+    ids=["edge-row", "name", "label", "field", "end"],
+)
+def test_a_change_after_read_windows_reads_as_json_loads(old, new):
+    # The reader leaves the layout only after it read windows of rows: it
+    # renders those again, and json.loads reads the text it had.
+    assert CYCLE_TEXT.count(old) == 1 and CYCLE_TEXT.index(old) > 1000
+    changed = CYCLE_TEXT.replace(old, new)
+    expected = outcome(changed, fallback=True)
+    for window in (64, 1000):
+        assert in_windows(changed, window) == (dict.fromkeys(SOURCES, expected), changed)
+
+
+@pytest.mark.parametrize("window", [64, serialize._WINDOW])
+def test_the_reader_holds_at_most_two_windows_of_unread_text(monkeypatch, window):
+    held = []
+    more = serialize._Stream.more
+
+    def spy(s):
+        found = more(s)
+        held.append(len(s.text) - s.at)
+        return found
+
+    monkeypatch.setattr(serialize, "_WINDOW", window)
+    monkeypatch.setattr(serialize._Stream, "more", spy)
+    text = written(build_cycle(20000), c_labeling(20000), family="c")
+    g, f, extra = read_document(io.StringIO(text))
+    assert (g.q, len(f), extra) == (20000, 20000, {"family": "c"})
+    assert len(held) > len(text) // window and max(held) < 2 * window
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+@pytest.mark.parametrize("mark", ["{", "\n    1001,"], ids=["first-window", "later-window"])
+def test_invalid_utf8_on_stdin_exits_2(capsys, monkeypatch, errors, mark):
+    # The byte replaces a brace or a label's first digit, well past the
+    # first window: refused as it is decoded, or as text out of the layout.
+    data = written(build_cycle(20000), c_labeling(20000)).encode()
+    at = data.index(mark.encode()) + len(mark) - len(mark.lstrip())
+    assert at == 0 or at > 4 * serialize._WINDOW
+    data = data[:at] + b"\xff" + data[at + 1:]
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8", errors))
+    assert main(["verify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 UNION_ARGS = ["transform", "union", "--orders", "3,3", "--directives",
@@ -240,8 +351,10 @@ def test_emitted_graphs_build_no_pair_view_and_no_trivial_names(capsys, monkeypa
 
 def test_dot_export_reads_the_columns_and_trivial_names():
     g, f = build_cycle(9), c_labeling(9)
-    to_dot(g, f)
-    to_dot(g)
+    for labels in (f, None):
+        buf = io.StringIO()
+        write_dot(buf, g, labels)
+        assert buf.getvalue() == to_dot(g, labels)
     assert "edges" not in vars(g) and "provenance" not in vars(g)
 
 

@@ -77,6 +77,30 @@ def test_vertex_count_is_an_int_by_index():
             assert str(info.value) == f"vertex count {bad!r} is not an int"
 
 
+COUNTED = [
+    (lambda m: CirculantSpec(m, (1,)), 9, "modulus", lambda spec: spec.m),
+    (build_cycle, 5, "cycle order", lambda g: g.n),
+    (lambda n: MergePlan(n, ((0, 2), (1, 3)), ("A", "B")), 4, "cycle order",
+     lambda plan: plan.n),
+    (c_labeling, 6, "cycle order", len),
+    (lambda k: case_plan(1, k), 2, "k", lambda plan: plan.n // 8),
+]
+
+
+@pytest.mark.parametrize("build,count,what,read", COUNTED,
+                         ids=["CirculantSpec", "build_cycle", "MergePlan", "c_labeling",
+                              "case_plan"])
+def test_counts_are_ints_by_index(build, count, what, read):
+    # A float count once raised a TypeError from math.gcd, range or list
+    # repetition; a numpy int is an int by operator.index.
+    for good in (np.int64(count), np.int32(count)):
+        assert read(build(good)) == count and type(read(build(good))) is int
+    for bad in (float(count), True, str(count)):
+        with pytest.raises(ValueError) as info:
+            build(bad)
+        assert str(info.value) == f"{what} {bad!r} is not an int"
+
+
 def test_parallel_edges_allowed():
     g = Graph(2, ((0, 1), (0, 1)))
     assert not g.is_simple()
@@ -671,13 +695,17 @@ def test_edge_check_survives_optimize():
         "loop at vertex 2 is not allowed", "end columns of 1 and 0 entries",
     ], proc.stdout + proc.stderr
     code = (
-        "from local_antimagic import EdgeLabeling, Graph\n"
+        "from local_antimagic import (CirculantSpec, EdgeLabeling, Graph, MergePlan,\n"
+        "                             build_cycle, c_labeling, case_plan)\n"
         "from local_antimagic.serialize import graph_from_dict\n"
         "for build in (lambda: Graph(3, [[0, 1.9]]), lambda: EdgeLabeling([1.7, 2]),\n"
         "              lambda: EdgeLabeling((True, 1)),\n"
         "              lambda: graph_from_dict({'n': '3', 'edges': []}),\n"
         "              lambda: graph_from_dict({'n': 3.0, 'edges': []}),\n"
-        "              lambda: Graph(3.0, ((0, 1),)), lambda: Graph(True, ())):\n"
+        "              lambda: Graph(3.0, ((0, 1),)), lambda: Graph(True, ()),\n"
+        "              lambda: CirculantSpec(9.0, (1,)), lambda: build_cycle(5.0),\n"
+        "              lambda: MergePlan(4.0, ((0, 2), (1, 3)), ('A', 'B')),\n"
+        "              lambda: c_labeling(6.0), lambda: case_plan(1, 2.0)):\n"
         "    try:\n"
         "        build()\n"
         "    except ValueError as exc:\n"
@@ -691,6 +719,8 @@ def test_edge_check_survives_optimize():
         "edge end 1.9 is not an int", "label 1.7 is not an int", "label True is not an int",
         "vertex count '3' is not an int", "vertex count 3.0 is not an int",
         "vertex count 3.0 is not an int", "vertex count True is not an int",
+        "modulus 9.0 is not an int", "cycle order 5.0 is not an int",
+        "cycle order 4.0 is not an int", "cycle order 6.0 is not an int", "k 2.0 is not an int",
     ], proc.stdout + proc.stderr
 
 
