@@ -11,25 +11,17 @@ from .graphs import (
     are_isomorphic,
     build_circulant,
     build_cycle,
-    delete_edge,
     merge_vertices,
     one_point_union,
-    partite_classes,
     verify_vertex_map,
 )
 from .labelings import (
     EdgeLabeling,
     InducedColoring,
     TwoColorVerdict,
-    check_edge_deletion_lemma,
-    check_nonreg_conditions,
     check_two_color_necessary,
     color_count,
-    complement_labeling,
-    deleted_edge_labeling,
     induced_coloring,
-    is_local_antimagic,
-    two_color_identity_holds,
     validate_labeling,
 )
 

@@ -107,6 +107,8 @@ def multiplier_isomorphism(n: int, a: int, b: int) -> list[int]:
     Valid whenever a*b = +-1 (mod n); any other pair is refused rather
     than tried, since the lemma gives no guarantee there.
     """
+    if n < 3:
+        raise ValueError("modulus must be at least 3")
     if math.gcd(a, n) != 1:
         raise ValueError(f"step {a} is not coprime to {n}")
     if (a * b) % n not in (1 % n, (-1) % n):

@@ -29,6 +29,7 @@ from .graphs import (
     CertificationError,
     CirculantSpec,
     Graph,
+    _int,
     are_isomorphic,
     build_circulant,
     build_cycle,
@@ -110,21 +111,17 @@ def _directive(item):
     from .unions import FuseCycles, KeepCycle, MergeCycle
     try:
         if "keep" in item:
-            return KeepCycle(_int(item["keep"]))
+            return KeepCycle(_int(item["keep"], "cycle index"))
         if "fuse" in item:
             first, second = item["fuse"]
-            return FuseCycles(_int(first), _int(second), _int(item["step"]))
+            return FuseCycles(_int(first, "cycle index"), _int(second, "cycle index"),
+                              _int(item["step"], "step"))
         if "merge" in item:
-            return MergeCycle(_int(item["merge"]), case_plan(_int(item["case"]), _int(item["k"])))
+            return MergeCycle(_int(item["merge"], "cycle index"),
+                              case_plan(_int(item["case"], "case"), _int(item["k"], "k")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed directive {item!r}: {exc!r}") from None
     raise ValueError(f"unknown directive {item!r}")
-
-
-def _int(value):
-    if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
-    return value
 
 
 def _cmd_transform(args) -> int:

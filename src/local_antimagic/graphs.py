@@ -3,11 +3,11 @@
 A graph stores its edges only as two end columns, ``us`` and ``vs``: edge
 i joins ``us[i]`` and ``vs[i]``, and i is the edge's index.  ``edges``,
 the tuple of (u, v) pairs, is always a view of the columns, built on
-first read.  Every transformation here (vertex merging, one-point union,
-edge deletion) preserves the indices of surviving edges so that edge
-labelings carry over unchanged, and builds the columns of its result in
-one pass, with no tuple per edge and no intermediate graph.  Every graph
-passes one check of its columns; loops are never allowed, parallel edges are.
+first read.  Every transformation here (vertex merging, one-point union)
+keeps the edges in order so that edge labelings carry over unchanged,
+and builds the columns of its result in one pass, with no tuple per edge
+and no intermediate graph.  Every graph passes one check of its columns;
+loops are never allowed, parallel edges are.
 
 ``Record`` is the base of the library's immutable records, here and in
 the construction modules.
@@ -492,60 +492,6 @@ def _union(parts: list, attach: list[int]) -> Graph:
         return (tuple(central), *rest)
 
     return Graph._from_ends(offset, tuple(us), tuple(vs), provenance)
-
-
-def delete_edge(g: Graph, e: int) -> Graph:
-    """Remove edge ``e``; the remaining edges keep their relative order."""
-    if not 0 <= e < g.q:
-        raise ValueError(f"edge index {e} out of range")
-    us, vs = g.us, g.vs
-    return Graph._from_ends(g.n, us[:e] + us[e + 1:], vs[:e] + vs[e + 1:],
-                            partial(_provenance, g.n, g._names))
-
-
-def first_coloring(g: Graph, k: int, vertices=None) -> dict[int, int] | None:
-    """The lexicographically first proper k-coloring of the vertices, or
-    of those in ``vertices`` (say, a component), taken highest degree
-    first and on ties in the order given, as a color per vertex, or None
-    if there is none.  Backtracks on an explicit stack so that long cycles
-    stay within the recursion limit."""
-    order = sorted(range(g.n) if vertices is None else vertices, key=lambda v: -g.degrees[v])
-    # Depth i colors order[i]: tried[i] is its current color, used[i]
-    # the colors in use before it.  Trying at most one fresh color kills
-    # color-permutation symmetry and keeps the lexicographically first
-    # coloring: swapping two colors unused so far only moves it later.
-    n = len(order)
-    color, tried, used = dict.fromkeys(order, -1), [-1] * n, [0] * (n + 1)
-    i = 0
-    while 0 <= i < n:
-        v = order[i]
-        color[v] = -1
-        taken = {color.get(w) for w in g.adjacency[v]}
-        fresh = min(used[i] + 1, k)
-        c = next((x for x in range(tried[i] + 1, fresh) if x not in taken), -1)
-        tried[i] = c
-        if c < 0:
-            i -= 1
-        else:
-            color[v] = c
-            used[i + 1] = max(used[i], c + 1)
-            i += 1
-    return color if i == n else None
-
-
-def partite_classes(g: Graph, k: int) -> list[list[int]] | None:
-    """A proper k-partition into independent sets, or None if none exists.
-
-    Parallel edges count as a single adjacency.  k=2 reads the 2-coloring
-    of the graph's one cached traversal; k=3 takes the first 3-coloring of
-    ``first_coloring``.
-    """
-    if k not in (2, 3):
-        raise ValueError("only k=2 and k=3 are supported")
-    color = g._traversal[1] if k == 2 else first_coloring(g, 3)
-    if color is None:
-        return None
-    return [[v for v in range(g.n) if color[v] == c] for c in range(k)]
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> list[int] | None:

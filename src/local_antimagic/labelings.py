@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .graphs import CertificationError, Graph, Record, _ints, partite_classes
+from .graphs import CertificationError, Graph, Record, _ints
 
 
 class EdgeLabeling(Record):
@@ -56,10 +56,12 @@ class InducedColoring(Record):
 
 def validate_labeling(g: Graph, f: EdgeLabeling) -> None:
     labels, q = f.labels, g.q
-    if len(labels) != q or q and (min(labels), max(labels), len(set(labels))) != (1, q, q):
-        raise ValueError(
-            f"labeling must be a bijection onto 1..{g.q}, got {len(f)} labels"
-        )
+    if len(labels) != q:
+        raise ValueError(f"labeling must be a bijection onto 1..{q}, got {len(labels)} labels")
+    if q and (found := (min(labels), max(labels), len(set(labels)))) != (1, q, q):
+        low, high, distinct = found
+        raise ValueError(f"labeling must be a bijection onto 1..{q}, got labels "
+                         f"{low}..{high}, {distinct} distinct")
 
 
 def induced_coloring(g: Graph, f: EdgeLabeling) -> InducedColoring:
@@ -96,10 +98,6 @@ def certify(what: str, g: Graph, f: EdgeLabeling,
     return coloring
 
 
-def is_local_antimagic(g: Graph, f: EdgeLabeling) -> bool:
-    return not induced_coloring(g, f).conflicts
-
-
 def color_count(g: Graph, f: EdgeLabeling) -> tuple[int, dict[int, list[int]]]:
     """Number of distinct induced sums and the vertex classes by sum.
 
@@ -112,71 +110,6 @@ def color_count(g: Graph, f: EdgeLabeling) -> tuple[int, dict[int, list[int]]]:
             f"labeling is not local antimagic (conflict at {coloring.conflicts[0]})"
         )
     return len(coloring.colors), coloring.classes()
-
-
-def complement_labeling(g: Graph, f: EdgeLabeling) -> EdgeLabeling:
-    """The labeling q+1-f.  An involution; on regular graphs it preserves
-    both the local antimagic property and the color count."""
-    validate_labeling(g, f)
-    q = g.q
-    return EdgeLabeling(tuple(q + 1 - x for x in f.labels))
-
-
-def check_nonreg_conditions(g: Graph, f: EdgeLabeling) -> bool:
-    """Check the sum/degree conditions under which q+1-f stays local antimagic.
-
-    For every vertex pair: equal sums must imply equal degrees, and
-    unequal sums must satisfy (q+1)(deg x - deg y) != sum(x) - sum(y).
-    When true, the complement labeling is local antimagic with the same
-    color count.
-    """
-    coloring = induced_coloring(g, f)
-    if coloring.conflicts:
-        raise ValueError("labeling must be local antimagic")
-    q = g.q
-    sums, deg = coloring.sums, g.degrees
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if sums[x] == sums[y]:
-                if deg[x] != deg[y]:
-                    return False
-            elif (q + 1) * (deg[x] - deg[y]) == sums[x] - sums[y]:
-                return False
-    return True
-
-
-def check_edge_deletion_lemma(g: Graph, f: EdgeLabeling, e: int) -> bool:
-    """Check the conditions under which deleting the label-1 edge keeps
-    the color count bounded by the current one.
-
-    Requires f(e)=1, degree-homogeneous color classes, and pairwise
-    distinct values of (class sum - class degree).  When all hold, the
-    decrement-by-one labeling on the edge-deleted graph uses at most as
-    many colors.
-    """
-    if not 0 <= e < g.q:
-        raise ValueError(f"edge index {e} out of range")
-    coloring = induced_coloring(g, f)
-    if coloring.conflicts:
-        raise ValueError("labeling must be local antimagic")
-    if f[e] != 1:
-        return False
-    shifted = set()
-    for s, vertices in coloring.classes().items():
-        degs = {g.degrees[v] for v in vertices}
-        if len(degs) != 1:
-            return False
-        shifted.add(s - degs.pop())
-    return len(shifted) == len(coloring.colors)
-
-
-def deleted_edge_labeling(g: Graph, f: EdgeLabeling, e: int) -> EdgeLabeling:
-    """Labeling for the graph with edge ``e`` (labeled 1) removed: every
-    surviving label is decremented so the range is 1..q-1 again."""
-    validate_labeling(g, f)
-    if f[e] != 1:
-        raise ValueError("only the edge labeled 1 can be deleted this way")
-    return EdgeLabeling(tuple(x - 1 for i, x in enumerate(f.labels) if i != e))
 
 
 class TwoColorVerdict(Record):
@@ -202,10 +135,10 @@ def check_two_color_necessary(g: Graph) -> TwoColorVerdict:
     dividing (q+1 choose 2); an even number of edges with a pendant, or
     two or more pendants, rules 2 colors out entirely.
     """
-    q, parts, pendants = g.q, partite_classes(g, 2), g.degrees.count(1)
-    if parts is None:
+    q, color, pendants = g.q, g._traversal[1], g.degrees.count(1)
+    if color is None:
         return TwoColorVerdict(False, None, False, False, pendants, False, False)
-    sizes = (len(parts[0]), len(parts[1]))
+    sizes = (g.n - sum(color), sum(color))
     sizes_distinct = sizes[0] != sizes[1]
     total = math.comb(q + 1, 2)
     divisibility = all(s > 0 and total % s == 0 for s in sizes)
@@ -214,22 +147,3 @@ def check_two_color_necessary(g: Graph) -> TwoColorVerdict:
     return TwoColorVerdict(
         True, sizes, sizes_distinct, divisibility, pendants, even_pendant, possible
     )
-
-
-def two_color_identity_holds(g: Graph, f: EdgeLabeling) -> bool:
-    """For a 2-color labeling with colors x<y on X and Y vertices, verify
-    xX = yY = q(q+1)/2 and that the color classes are the bipartition."""
-    count, classes = color_count(g, f)
-    if count != 2:
-        raise ValueError("labeling does not induce exactly 2 colors")
-    x, y = sorted(classes)
-    X, Y = len(classes[x]), len(classes[y])
-    if x * X != y * Y or 2 * x * X != g.q * (g.q + 1):
-        return False
-    parts = partite_classes(g, 2)
-    if parts is None:
-        return False
-    return {frozenset(classes[x]), frozenset(classes[y])} == {
-        frozenset(parts[0]),
-        frozenset(parts[1]),
-    }

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .circulants import c_labeling, c_labeling_sums, circulant_colors
-from .graphs import CirculantSpec, Graph, Record, are_isomorphic, build_circulant, first_coloring
+from .graphs import CirculantSpec, Graph, Record, are_isomorphic, build_circulant
 from .labelings import EdgeLabeling, certify, check_two_color_necessary
 
 
@@ -86,6 +86,35 @@ class OracleResult(Record):
         kept = vars(self)
         kept["value"], kept["witness"], kept["nodes"] = value, witness, nodes
         kept["seconds"], kept["bounds"], kept["searches"] = seconds, bounds, searches
+
+
+def first_coloring(g: Graph, k: int, vertices) -> dict[int, int] | None:
+    """The lexicographically first proper k-coloring of ``vertices`` (say,
+    a component), taken highest degree first and on ties in the order
+    given, as a color per vertex, or None if there is none.  Backtracks on
+    an explicit stack so that long cycles stay within the recursion limit."""
+    order = sorted(vertices, key=lambda v: -g.degrees[v])
+    # Depth i colors order[i]: tried[i] is its current color, used[i]
+    # the colors in use before it.  Trying at most one fresh color kills
+    # color-permutation symmetry and keeps the lexicographically first
+    # coloring: swapping two colors unused so far only moves it later.
+    n = len(order)
+    color, tried, used = dict.fromkeys(order, -1), [-1] * n, [0] * (n + 1)
+    i = 0
+    while 0 <= i < n:
+        v = order[i]
+        color[v] = -1
+        taken = {color.get(w) for w in g.adjacency[v]}
+        fresh = min(used[i] + 1, k)
+        c = next((x for x in range(tried[i] + 1, fresh) if x not in taken), -1)
+        tried[i] = c
+        if c < 0:
+            i -= 1
+        else:
+            color[v] = c
+            used[i + 1] = max(used[i], c + 1)
+            i += 1
+    return color if i == n else None
 
 
 def chromatic_number(g: Graph) -> int:

@@ -230,10 +230,13 @@ def transform_union(
 
     graph = _union(parts, [0] * len(parts))
     new_labeling = EdgeLabeling(tuple(labels))
-    # Every cycle is consumed once, so these are the input's labels in a
-    # new order: a failure here is an input error, not a certification bug.
-    validate_labeling(graph, new_labeling)
-    coloring = certify(f"transformed union of {spec.orders}", graph, new_labeling)
+    try:
+        coloring = certify(f"transformed union of {spec.orders}", graph, new_labeling)
+    except CertificationError:
+        # Each cycle is consumed once, so these are the input's labels: labels
+        # that are no bijection are an input error, not a certification bug.
+        validate_labeling(graph, new_labeling)
+        raise
     return UnionTransformResult(
         graph, new_labeling, coloring.colors, coloring.sums[0]
     )

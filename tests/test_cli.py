@@ -297,10 +297,21 @@ def test_error_exit_code_on_bad_parameters(capsys, monkeypatch):
          """malformed 'graph' field: ValueError("vertex count '3' is not an int")"""),
         (["verify"], '{"graph":{"n":3.0,"edges":[[0,1],[1,2]]},"labels":[1,2]}',
          "malformed 'graph' field: ValueError('vertex count 3.0 is not an int')"),
+        (["verify"], '{"graph":{"n":3,"edges":[[0,1],[1,2]]},"labels":[2,2]}',
+         "error: labeling must be a bijection onto 1..2, got labels 2..2, 1 distinct\n"),
+        (["export", "dot"], '{"graph":{"n":2,"edges":[[0,1]]},"labels":[5]}',
+         "error: labeling must be a bijection onto 1..1, got labels 5..5, 1 distinct\n"),
+        (["iso", "--multiplier", "--n", "0", "--a", "1", "--b", "1"], "",
+         "error: modulus must be at least 3\n"),
+        (["iso", "--multiplier", "--n", "1", "--a", "1", "--b", "1"], "",
+         "error: modulus must be at least 3\n"),
+        (["iso", "--multiplier", "--n", "2", "--a", "1", "--b", "1"], "",
+         "error: modulus must be at least 3\n"),
     ],
     ids=["no-edges", "labels-not-a-list", "labels-a-string", "graph-not-an-object",
          "nested-too-deep", "no-labels", "float-end", "bool-end", "float-label",
-         "bool-label", "str-count", "float-count"],
+         "bool-label", "str-count", "float-count", "repeated-label", "label-out-of-range",
+         "iso-modulus-0", "iso-modulus-1", "iso-modulus-2"],
 )
 def test_malformed_input_exits_2(capsys, monkeypatch, args, stdin, message):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -472,7 +483,7 @@ def test_unreadable_input_file_exits_2(capsys, tmp_path):
         ('[{"fuse":[0,1]}]', "malformed directive {'fuse': [0, 1]}: KeyError('step')"),
         ("5", "directives must be a JSON list, not 5"),
         ("[1]", "malformed directive 1: TypeError"),
-        ('[{"keep":"x"}]', "malformed directive {'keep': 'x'}: TypeError"),
+        ('[{"keep":"x"}]', "malformed directive {'keep': 'x'}: ValueError"),
     ],
     ids=["fuse-without-step", "not-a-list", "not-an-object", "index-not-an-int"],
 )
@@ -716,8 +727,23 @@ def test_numpy_stays_off_the_import_path(child, modules):
 def test_every_public_name_resolves_and_is_listed():
     import local_antimagic
 
+    # The public names are a contract: a change to it shows here.
+    assert local_antimagic.__all__ == [
+        "BudgetExceeded", "CertificationError", "CirculantSpec", "ConstructionMatrix",
+        "EdgeLabeling", "FuseCycles", "Graph", "InducedColoring", "KeepCycle", "MergeCycle",
+        "MergePlan", "OracleResult", "SearchBudget", "TwoColorVerdict", "UnionSpec",
+        "are_isomorphic", "build_circulant", "build_construction_matrix", "build_cycle",
+        "build_even_odd_arrays", "c_labeling", "c_labeling_sums", "case_plan",
+        "certify_multiplier", "check_two_color_necessary", "chromatic_number",
+        "circulant_colors", "circulant_labeling", "circulant_spectrum", "circulants",
+        "color_count", "cycle_merge", "exact_chi_la", "family_colors", "feasible_with_colors",
+        "graphs", "induced_coloring", "labeling_matrix_view", "labelings", "merge_vertices",
+        "multiplier_isomorphism", "one_point_union", "oracle", "spectra_equal",
+        "transform_cycle", "transform_union", "union_2labeling_family1",
+        "union_2labeling_family2", "union_3labeling", "union_graph", "unions",
+        "validate_labeling", "verify_case1_circulant", "verify_vertex_map",
+    ]
     names = set(local_antimagic.__all__)
-    assert {"exact_chi_la", "feasible_with_colors", "SearchBudget", "Graph", "oracle"} <= names
     assert all(getattr(local_antimagic, name) is not None for name in names)
     assert names <= set(dir(local_antimagic))
     star: dict = {}

@@ -17,19 +17,17 @@ from local_antimagic import (
     build_even_odd_arrays,
     c_labeling,
     case_plan,
-    check_edge_deletion_lemma,
-    check_nonreg_conditions,
-    complement_labeling,
-    delete_edge,
-    deleted_edge_labeling,
+    check_two_color_necessary,
     family_colors,
     induced_coloring,
     merge_vertices,
-    partite_classes,
     transform_cycle,
     verify_case1_circulant,
     verify_vertex_map,
 )
+from local_antimagic.oracle import first_coloring
+
+from conftest import complement, edge_deleted
 
 ALL_CASES = [(case, k) for case in range(1, 9) for k in range(2, 7)]
 
@@ -77,12 +75,12 @@ def test_transform_profiles(case, k):
     else:
         assert degrees == [4] * (g.n - 1) + [6]
 
-    bipartite = partite_classes(g, 2) is not None
+    bipartite = check_two_color_necessary(g).bipartite
     if case in (1, 2):
         assert bipartite
     else:
         assert not bipartite
-        assert partite_classes(g, 3) is not None
+        assert first_coloring(g, 3, range(g.n)) is not None
     if case in (3, 4):
         # The special merge creates a triangle through the merged vertex.
         adj = g.adjacency
@@ -109,18 +107,14 @@ def test_edge_deleted_variants(case, k):
     result = transform_cycle(n, plan)
     g, f = result.graph, result.labeling
 
-    e1 = f.labels.index(1)
-    assert check_edge_deletion_lemma(g, f, e1)
-    deleted = induced_coloring(delete_edge(g, e1), deleted_edge_labeling(g, f, e1))
+    deleted = induced_coloring(*edge_deleted(g, f, f.labels.index(1)))
     assert not deleted.conflicts and len(deleted.colors) == 3
 
     # Deleting the label-n edge goes through the complement labeling.
-    assert check_nonreg_conditions(g, f)
-    fc = complement_labeling(g, f)
+    fc = complement(g, f)
     en = f.labels.index(n)
     assert fc[en] == 1
-    assert check_edge_deletion_lemma(g, fc, en)
-    deleted = induced_coloring(delete_edge(g, en), deleted_edge_labeling(g, fc, en))
+    deleted = induced_coloring(*edge_deleted(g, fc, en))
     assert not deleted.conflicts and len(deleted.colors) == 3
 
 
@@ -143,8 +137,8 @@ def test_case2_deleted_variant_isomorphism_is_undecided_but_checked():
     plan = case_plan(2, 2)
     result = transform_cycle(plan.n, plan)
     g, f = result.graph, result.labeling
-    g1 = delete_edge(g, f.labels.index(1))
-    gn = delete_edge(g, f.labels.index(g.q))
+    g1, _ = edge_deleted(g, f, f.labels.index(1))
+    gn, _ = edge_deleted(g, f, f.labels.index(g.q))
     mapping = are_isomorphic(g1, gn)
     if mapping is not None:
         assert verify_vertex_map(g1, gn, mapping)

@@ -27,12 +27,11 @@ from local_antimagic import (
     build_cycle,
     c_labeling,
     case_plan,
+    check_two_color_necessary,
     circulant_labeling,
-    delete_edge,
     induced_coloring,
     merge_vertices,
     one_point_union,
-    partite_classes,
     transform_cycle,
     transform_union,
     union_2labeling_family1,
@@ -42,6 +41,7 @@ from local_antimagic import (
     verify_vertex_map,
 )
 from local_antimagic.graphs import gamma_cycle_sequence
+from local_antimagic.oracle import first_coloring
 from local_antimagic.serialize import graph_from_dict, graph_to_dict, to_dot
 
 from conftest import random_connected_graph, random_connected_multigraph, shuffled
@@ -306,13 +306,6 @@ def test_one_point_union_indices():
     assert g.provenance[0] == ("c0.0", "c1.0")
 
 
-def test_delete_edge_keeps_order():
-    g = build_cycle(5)
-    h = delete_edge(g, 2)
-    assert h.q == 4
-    assert h.edges == ((0, 1), (1, 2), (3, 4), (4, 0))
-
-
 def _has_odd_closed_walk(g: Graph) -> bool:
     # Independent bipartiteness oracle: parity labels via exhaustive
     # propagation over edges until stable.
@@ -339,25 +332,31 @@ def _has_odd_closed_walk_from(g, parity):
 def test_bipartite_matches_odd_cycle_oracle(rng):
     for _ in range(60):
         g = random_connected_graph(rng, rng.randrange(3, 11), rng.randrange(0, 4))
-        parts = partite_classes(g, 2)
-        assert (parts is None) == _has_odd_closed_walk(g)
-        if parts is not None:
-            members = {v for part in parts for v in part}
-            assert members == set(range(g.n))
+        side = g._traversal[1]
+        assert check_two_color_necessary(g).bipartite == (side is not None)
+        assert (side is None) == _has_odd_closed_walk(g)
+        if side is not None:
+            assert len(side) == g.n
             for u, v in g.edges:
-                assert (u in set(parts[0])) != (v in set(parts[0]))
+                assert side[u] != side[v]
+
+
+def three_classes(g):
+    """The classes of the first proper 3-coloring, or None."""
+    color = first_coloring(g, 3, range(g.n))
+    return None if color is None else [[v for v in range(g.n) if color[v] == c] for c in range(3)]
 
 
 def test_three_partite():
-    assert partite_classes(build_cycle(5), 3) is not None
+    assert three_classes(build_cycle(5)) is not None
     k4 = Graph(4, tuple((u, v) for u in range(4) for v in range(u + 1, 4)))
-    assert partite_classes(k4, 3) is None
+    assert three_classes(k4) is None
 
 
 def test_three_partite_long_cycles_stay_within_the_recursion_limit():
-    odd = partite_classes(build_cycle(2001), 3)
+    odd = three_classes(build_cycle(2001))
     assert odd == [list(range(0, 2000, 2)), list(range(1, 2000, 2)), [2000]]
-    even = partite_classes(build_cycle(2000), 3)
+    even = three_classes(build_cycle(2000))
     assert even == [list(range(0, 2000, 2)), list(range(1, 2000, 2)), []]
 
 
@@ -389,7 +388,7 @@ def test_three_partite_is_the_first_coloring_of_plain_backtracking(rng):
     for _ in range(80):
         n = rng.randrange(3, 11)
         g = random_connected_graph(rng, n, rng.randrange(0, 2 * n))
-        assert partite_classes(g, 3) == _recursive_three_classes(g)
+        assert three_classes(g) == _recursive_three_classes(g)
 
 
 def test_isomorphism_random_relabelings(rng):
@@ -495,11 +494,11 @@ def test_bipartition_and_isomorphism_agree_with_networkx():
     seen = set()
     for g in graphs:
         mg = _nx_multigraph(nx, g)
-        bipartite = partite_classes(g, 2) is not None
-        assert bipartite == nx.is_bipartite(mg), g.edges
+        side = g._traversal[1]
+        bipartite = check_two_color_necessary(g).bipartite
+        assert bipartite == (side is not None) == nx.is_bipartite(mg), g.edges
         if bipartite:
-            side = set(partite_classes(g, 2)[0])
-            assert all((u in side) != (v in side) for u, v in g.edges), g.edges
+            assert all(side[u] != side[v] for u, v in g.edges), g.edges
         assert (sorted(map(sorted, g.components))
                 == sorted(map(sorted, nx.connected_components(mg)))), g.edges
         assert g.is_connected() == nx.is_connected(mg)
@@ -762,8 +761,7 @@ def test_constructions_and_their_check_build_no_edge_pairs():
         induced_coloring(g, f)
         assert "edges" not in vars(g), g.n
     merged = merge_vertices(build_cycle(plan.n), plan)
-    g = delete_edge(one_point_union([merged, build_circulant(CirculantSpec(10, (1, 3)))],
-                                    [1, 0]), 4)
+    g = one_point_union([merged, build_circulant(CirculantSpec(10, (1, 3)))], [1, 0])
     assert verify_vertex_map(g, g, list(range(g.n))) and sum(g.degrees) == 2 * g.q
     assert verify_case1_circulant(3)
     for h in (merged, g):
@@ -787,7 +785,6 @@ def test_provenance_read_gives_the_original_names():
     nested = one_point_union([merged, build_cycle(3)], [1, 2])
     assert nested.provenance == (("c0.1", "c0.5", "c1.2"), ("c0.0", "c0.4"),
                                  ("c0.2", "c0.6"), ("c0.3", "c0.7"), ("c1.0",), ("c1.1",))
-    assert delete_edge(nested, 0).provenance == nested.provenance
     matrix = build_construction_matrix(2, 0)
     assert matrix.graph.provenance[:3] == (("0", "8"), ("1", "5"), ("2", "10"))
 

@@ -1,8 +1,9 @@
-"""Gates on the package's imports.  Every top-level import of a module is
+"""Gates on the package's source.  Every top-level import of a module is
 read somewhere in it; ``__future__`` imports and the re-exports of
 ``__init__.py`` are exempt.  No module imports ``dataclasses`` or
 ``typing``, and ``cli.py`` imports the construction modules, the oracle
-and ``reproduce`` only inside the commands that run them."""
+and ``reproduce`` only inside the commands that run them.  No module has
+an ``assert`` statement, which ``python -O`` strips."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,10 @@ def test_cli_imports_what_a_command_runs_inside_the_command():
     top_level = imported_modules(tree.body)
     assert top_level & lazy == set() and {"graphs", "labelings", "serialize"} <= top_level
     assert lazy <= imported_modules(ast.walk(tree))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_asserts(path):
+    # A check must raise under -O too: CertificationError or ValueError.
+    tree = ast.parse(path.read_text(), str(path))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

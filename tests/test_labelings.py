@@ -13,21 +13,16 @@ from local_antimagic import (
     c_labeling,
     case_plan,
     transform_cycle,
-    check_edge_deletion_lemma,
-    check_nonreg_conditions,
     check_two_color_necessary,
     color_count,
-    complement_labeling,
-    deleted_edge_labeling,
-    delete_edge,
     induced_coloring,
-    is_local_antimagic,
-    two_color_identity_holds,
     union_2labeling_family1,
     validate_labeling,
 )
 from local_antimagic.labelings import certify
 from local_antimagic.reproduce import counterexample_graph
+
+from conftest import assert_two_color_identity, complement, edge_deleted
 
 
 def cycle_with_permutation(min_m=3, max_m=9):
@@ -58,19 +53,12 @@ def test_sum_of_induced_sums_is_twice_label_total(gf):
 
 @given(cycle_with_permutation())
 @settings(max_examples=60, deadline=None)
-def test_complement_is_an_involution(gf):
-    g, f = gf
-    assert complement_labeling(g, complement_labeling(g, f)).labels == f.labels
-
-
-@given(cycle_with_permutation())
-@settings(max_examples=60, deadline=None)
 def test_complement_preserves_color_count_on_regular_graphs(gf):
     g, f = gf
-    fc = complement_labeling(g, f)
-    assert is_local_antimagic(g, f) == is_local_antimagic(g, fc)
-    if is_local_antimagic(g, f):
-        assert color_count(g, f)[0] == color_count(g, fc)[0]
+    coloring, complemented = induced_coloring(g, f), induced_coloring(g, complement(g, f))
+    assert bool(coloring.conflicts) == bool(complemented.conflicts)
+    if not coloring.conflicts:
+        assert len(coloring.colors) == len(complemented.colors)
 
 
 def test_conflicts_are_reported():
@@ -85,7 +73,7 @@ def test_conflicts_are_reported():
     g2 = Graph(3, ((0, 1), (1, 2), (2, 0)))
     f2 = EdgeLabeling((1, 2, 3))
     # v0 = 4, v1 = 3, v2 = 5: antimagic. Try the parallel-edge case:
-    assert is_local_antimagic(g2, f2)
+    assert not induced_coloring(g2, f2).conflicts
     multi = Graph(2, ((0, 1), (0, 1)))
     coloring = induced_coloring(multi, EdgeLabeling((1, 2)))
     assert coloring.conflicts == ((0, 1),)
@@ -101,31 +89,22 @@ def test_nonreg_conditions_guarantee_complement():
     plan = case_plan(5, 2)
     result = transform_cycle(plan.n, plan)
     g, f = result.graph, result.labeling
-    assert check_nonreg_conditions(g, f)
-    fc = complement_labeling(g, f)
-    assert is_local_antimagic(g, fc)
-    assert color_count(g, fc)[0] == color_count(g, f)[0]
+    # Not regular: the sums and degrees meet the conditions under which
+    # q+1-f stays local antimagic with as many sums.
+    assert len(certify("complement", g, complement(g, f)).colors) == len(result.expected_colors)
 
 
 def test_edge_deletion_lemma_on_cycle():
     m = 12
     g, f = build_cycle(m), c_labeling(m)
     e = f.labels.index(1)
-    assert check_edge_deletion_lemma(g, f, e)
-    h = delete_edge(g, e)
-    fd = deleted_edge_labeling(g, f, e)
+    h, fd = edge_deleted(g, f, e)
     coloring = induced_coloring(h, fd)
     assert not coloring.conflicts
     assert len(coloring.colors) <= 3
     # Every sum dropped by exactly the old degree.
     old = induced_coloring(g, f).sums
     assert all(coloring.sums[v] == old[v] - g.degrees[v] for v in range(g.n))
-
-
-def test_deleted_edge_labeling_requires_label_one():
-    g, f = build_cycle(5), c_labeling(5)
-    with pytest.raises(ValueError):
-        deleted_edge_labeling(g, f, f.labels.index(3))
 
 
 def test_two_color_verdict_on_counterexample():
@@ -141,13 +120,7 @@ def test_two_color_verdict_on_counterexample():
 
 def test_two_color_identity_on_union_labeling():
     result = union_2labeling_family1(4)
-    assert two_color_identity_holds(result.graph, result.labeling)
-
-
-def test_two_color_identity_rejects_three_colors():
-    g, f = build_cycle(8), c_labeling(8)
-    with pytest.raises(ValueError):
-        two_color_identity_holds(g, f)
+    assert_two_color_identity(result.graph, result.labeling)
 
 
 def test_certify_returns_the_coloring_of_a_good_construction():
@@ -171,10 +144,15 @@ def test_certify_names_both_sum_sets():
 
 
 def test_validate_keeps_the_bijection_message():
+    # It names the count when that is wrong, else the least and the
+    # greatest label and how many labels are distinct.
     g = build_cycle(4)
-    for labels in ((1, 2, 2, 4), (0, 1, 2, 3), (1, 2, 3, 5), (4, 3, 2, 1, 5), (1, 2, 3)):
-        message = f"labeling must be a bijection onto 1..4, got {len(labels)} labels"
-        with pytest.raises(ValueError, match=re.escape(message)):
+    for labels, got in (((1, 2, 2, 4), "labels 1..4, 3 distinct"),
+                        ((0, 1, 2, 3), "labels 0..3, 4 distinct"),
+                        ((1, 2, 3, 5), "labels 1..5, 4 distinct"),
+                        ((4, 3, 2, 1, 5), "5 labels"), ((1, 2, 3), "3 labels")):
+        message = f"labeling must be a bijection onto 1..4, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             validate_labeling(g, EdgeLabeling(labels))
     validate_labeling(g, EdgeLabeling((4, 2, 3, 1)))
     validate_labeling(Graph(2, ()), EdgeLabeling(()))

@@ -9,16 +9,17 @@ from local_antimagic import (
     case_plan,
     check_two_color_necessary,
     induced_coloring,
-    partite_classes,
     transform_union,
-    two_color_identity_holds,
     union_2labeling_family1,
     union_2labeling_family2,
     union_3labeling,
     union_graph,
 )
+from local_antimagic import labelings, unions
 from local_antimagic.graphs import sorted_edge_keys
 from local_antimagic.unions import family1_sequences, family2_sequences
+
+from conftest import assert_two_color_identity
 
 
 def test_union_graph_shape():
@@ -53,7 +54,7 @@ def test_family1_two_colors(r):
     low, high = 4 * r * r - 4 * r + 1, 4 * r * r - 2 * r
     assert result.colors == frozenset({low, high})
     assert result.central_sum == high
-    assert two_color_identity_holds(result.graph, result.labeling)
+    assert_two_color_identity(result.graph, result.labeling)
 
 
 def test_family1_sequence_endpoints():
@@ -73,7 +74,7 @@ def test_family2_two_colors(r):
     low, high = 2 * r * r - r, 2 * r * r + r
     assert result.colors == frozenset({low, high})
     assert result.central_sum == high
-    assert two_color_identity_holds(result.graph, result.labeling)
+    assert_two_color_identity(result.graph, result.labeling)
 
 
 def test_family2_rejects_even_or_small_r():
@@ -142,6 +143,18 @@ def test_transform_union_keep_passthrough():
     assert sorted_edge_keys(g.n, g.edges) == sorted_edge_keys(h.n, h.edges)
 
 
+def test_transform_union_validates_a_good_labeling_once(monkeypatch):
+    # certify's induced coloring validates the labels; only a failed
+    # certification validates them again, to tell bad input from a bug.
+    labeled, calls = union_2labeling_family1(5), []
+    validate = labelings.validate_labeling
+    for module in (labelings, unions):
+        monkeypatch.setattr(module, "validate_labeling",
+                            lambda g, f: calls.append(f) or validate(g, f))
+    transform_union(labeled.spec, labeled.labeling, [KeepCycle(i) for i in range(5)])
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "orders,plans",
     (
@@ -159,9 +172,8 @@ def test_transform_union_3labeled_shapes_force_three_colors(orders, plans):
     result = transform_union(spec, labeled.labeling, directives)
     m = spec.m
     assert result.colors == frozenset({2 * m, 2 * m + 2, result.central_sum})
-    assert partite_classes(result.graph, 2) is not None
     verdict = check_two_color_necessary(result.graph)
-    assert not verdict.divisibility_ok
+    assert verdict.bipartite and not verdict.divisibility_ok
     assert verdict.forced_at_least_three
 
 
