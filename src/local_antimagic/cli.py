@@ -7,9 +7,9 @@ communicate through JSON documents on stdin/stdout, for example:
     antimagic label circulant --m 16 --steps 1,3 | antimagic verify --expect-colors 3
 
 Exit codes: 0 on success, 1 when a verification or search check fails,
-2 for usage errors and malformed input, 3 when a construction fails its
-own certification (an internal bug), 141 (128 + SIGPIPE) when the reader
-closes stdout early.
+2 for usage errors, malformed input and requests too large for memory,
+3 when a construction fails its own certification (an internal bug), 141
+(128 + SIGPIPE) when the reader closes stdout early.
 
 Each command imports the construction modules it runs (``circulants``,
 ``cycle_merge``, ``unions``), the oracle and ``reproduce`` itself, so a
@@ -38,8 +38,9 @@ from .labelings import EdgeLabeling, check_two_color_necessary, induced_coloring
 from .serialize import read_document, write_document, write_dot, write_json
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _int_list(text: str) -> tuple[int, ...]:
+    """A comma-separated list of ints, as argparse reads a flag's value."""
+    return tuple(map(int, text.split(",")))
 
 
 def _emit(doc: dict) -> None:
@@ -66,10 +67,10 @@ def _cmd_build(args) -> int:
     if args.shape == "cycle":
         g = build_cycle(args.m)
     elif args.shape == "circulant":
-        g = build_circulant(CirculantSpec(args.m, _ints(args.steps)))
+        g = build_circulant(CirculantSpec(args.m, args.steps))
     else:
         from .unions import UnionSpec, union_graph
-        g = union_graph(UnionSpec(_ints(args.orders)))
+        g = union_graph(UnionSpec(args.orders))
     _emit_document(g)
     return 0
 
@@ -80,7 +81,7 @@ def _cmd_label(args) -> int:
         g, f = build_cycle(args.m), c_labeling(args.m)
     elif args.family == "circulant":
         from .circulants import circulant_labeling
-        g, f = circulant_labeling(CirculantSpec(args.m, _ints(args.steps)))
+        g, f = circulant_labeling(CirculantSpec(args.m, args.steps))
     else:
         from .unions import (
             UnionSpec,
@@ -93,7 +94,7 @@ def _cmd_label(args) -> int:
         elif args.family == "union2b":
             result = union_2labeling_family2(args.r)
         else:
-            result = union_3labeling(UnionSpec(_ints(args.orders)))
+            result = union_3labeling(UnionSpec(args.orders))
         g, f = result.graph, result.labeling
     _emit_document(g, f)
     return 0
@@ -140,21 +141,12 @@ def _cmd_transform(args) -> int:
         _emit_document(built.graph, built.labeling, A=built.arrays.evens, B=built.arrays.odds,
                        M01=built.pattern, Mlab=built.labels, steps=built.spec.steps)
         return 0
-    g, f, extra = _read_document(args.input)
-    orders = extra.get("orders")
-    if args.orders:
-        orders = _ints(args.orders)
-    elif orders is not None and (type(orders) is not list or {*map(type, orders)} - {int}):
-        raise ValueError(f"malformed 'orders' field: {orders!r} is not a list of integers")
-    if orders is None:
-        raise ValueError("transform union needs --orders or an 'orders' field")
+    _, f, _ = _read_document(args.input)
     if f is None:
         raise ValueError("transform union needs a labeled document")
     from .unions import UnionSpec, transform_union
     try:
-        result = transform_union(
-            UnionSpec(tuple(orders)), f, _parse_directives(args.directives)
-        )
+        result = transform_union(UnionSpec(args.orders), f, _parse_directives(args.directives))
     except CertificationError as exc:
         # The labeling and the directives are input here: a result that
         # is not local antimagic is a failed check, not a library bug.
@@ -190,11 +182,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     from .circulants import circulant_spectrum, spectra_equal
-    spec = CirculantSpec(args.m, _ints(args.steps))
+    spec = CirculantSpec(args.m, args.steps)
     spectrum = circulant_spectrum(spec)
     out = {"m": args.m, "steps": spec.steps, "spectrum": spectrum}
     if args.against:
-        other = circulant_spectrum(CirculantSpec(args.m, _ints(args.against)))
+        other = circulant_spectrum(CirculantSpec(args.m, args.against))
         out["cospectral"] = spectra_equal(spectrum, other)
     _emit(out)
     return 0
@@ -290,17 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="construct a graph and print its JSON")
     shapes = p.add_subparsers(dest="shape", required=True)
     _needs(shapes, "cycle", m=int)
-    _needs(shapes, "circulant", m=int, steps=str)
-    _needs(shapes, "union", orders=str)
+    _needs(shapes, "circulant", m=int, steps=_int_list)
+    _needs(shapes, "union", orders=_int_list)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("label", help="construct a graph with an explicit labeling")
     families = p.add_subparsers(dest="family", required=True)
     _needs(families, "c", m=int)
-    _needs(families, "circulant", m=int, steps=str)
+    _needs(families, "circulant", m=int, steps=_int_list)
     _needs(families, "union2a", r=int)
     _needs(families, "union2b", r=int)
-    _needs(families, "union3", orders=str)
+    _needs(families, "union3", orders=_int_list)
     p.set_defaults(fn=_cmd_label)
 
     p = sub.add_parser("transform", help="merge, fuse, or fold a labeled graph")
@@ -311,9 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q = _needs(kinds, "matrix", s=int, t=int)
     q.add_argument("--render", action="store_true", help="print the label matrix as text")
-    q = _needs(kinds, "union", directives=str)
+    q = _needs(kinds, "union", orders=_int_list, directives=str)
     q.add_argument("--input", help="labeled union JSON (default stdin)")
-    q.add_argument("--orders", help=_HELP["orders"])
     p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("verify", help="check a labeled graph document")
@@ -324,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="circulant adjacency spectrum")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--steps", required=True)
-    p.add_argument("--against", help="second connection set to compare")
+    p.add_argument("--steps", type=_int_list, required=True)
+    p.add_argument("--against", type=_int_list, help="second connection set to compare")
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("iso", help="isomorphism check or multiplier certificate")
@@ -378,6 +369,9 @@ def main(argv: list[str] | None = None) -> int:
         return 128 + signal.SIGPIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: {args.command}: the request is too large for memory", file=sys.stderr)
         return 2
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)

@@ -226,10 +226,6 @@ class ConstructionMatrix(Record):
     _fields = ("s", "t", "n", "arrays", "labels", "spec", "graph", "labeling", "sums")
 
     @property
-    def order(self) -> int:
-        return len(self.labels)
-
-    @property
     def pattern(self) -> tuple[tuple[int, ...], ...]:
         """The 0/1 incidence pattern: 1 where a cell holds a label."""
         return tuple(tuple(int(x is not None) for x in row) for row in self.labels)

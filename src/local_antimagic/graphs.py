@@ -132,15 +132,6 @@ class Graph(Record):
         return tuple(deg)
 
     @cached_property
-    def incident(self) -> tuple[tuple[int, ...], ...]:
-        """Edge indices incident to each vertex (parallel edges repeat)."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(zip(self.us, self.vs)):
-            inc[u].append(i)
-            inc[v].append(i)
-        return tuple(map(tuple, inc))
-
-    @cached_property
     def adjacency(self) -> tuple[dict[int, int], ...]:
         """Per-vertex map neighbor -> edge multiplicity."""
         adj: list[dict[int, int]] = [{} for _ in range(self.n)]

@@ -45,19 +45,14 @@ def _default_max_edges() -> int:
 
 
 class SearchBudget(Record):
-    """The limits of one search: the edges it may take (by default
-    ANTIMAGIC_BUDGET_EDGES, read when the budget is made, or 10), and
-    optionally its nodes and its seconds."""
+    """The limits of one search: an edge limit, ``max_edges`` (by default
+    ANTIMAGIC_BUDGET_EDGES, read when the budget is made, or 10), and an
+    optional node limit per run, ``node_limit``."""
 
-    _fields = ("max_edges", "node_limit", "time_limit")
-    # Unlike a record, a budget may be changed, and so has no hash.
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+    _fields = ("max_edges", "node_limit")
 
-    def __init__(self, max_edges: int | None = None, node_limit: int | None = None,
-                 time_limit: float | None = None):
-        self.max_edges = _default_max_edges() if max_edges is None else max_edges
-        self.node_limit = node_limit
-        self.time_limit = time_limit
+    def __init__(self, max_edges: int | None = None, node_limit: int | None = None):
+        super().__init__(_default_max_edges() if max_edges is None else max_edges, node_limit)
 
 
 class Bounds(Record):
@@ -130,6 +125,15 @@ def chromatic_number(g: Graph) -> int:
     return k
 
 
+def _incident(g: Graph) -> list[list[int]]:
+    """Each vertex's edge indices in edge order (parallel edges repeat)."""
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(zip(g.us, g.vs)):
+        incident[u].append(i)
+        incident[v].append(i)
+    return incident
+
+
 def _cycle(g: Graph) -> tuple[EdgeLabeling, str] | None:
     """``c_labeling(n)`` carried onto g and its source, when g is one cycle
     on n >= 3 vertices; else None.  A walk from vertex 0 gives step j the
@@ -137,13 +141,13 @@ def _cycle(g: Graph) -> tuple[EdgeLabeling, str] | None:
     degree is 2, a walk that covers all n edges without revisiting one
     rules out parallel edges and a second component."""
     n = g.n
-    if n < 3 or g.q != n or set(map(len, g.incident)) != {2}:
+    if n < 3 or g.q != n or set(map(len, incident := _incident(g))) != {2}:
         return None
-    labels, v, e, us, vs = [0] * n, 0, g.incident[0][0], g.us, g.vs
+    labels, v, e, us, vs = [0] * n, 0, incident[0][0], g.us, g.vs
     for x in c_labeling(n).labels:
         labels[e] = x
         v = vs[e] if us[e] == v else us[e]
-        a, b = g.incident[v]
+        a, b = incident[v]
         e = b if a == e else a
     if 0 in labels:  # the walk closed before n steps
         return None
@@ -242,13 +246,13 @@ class _Search:
     def order(self) -> list[int]:
         """Edges in depth-first order from each vertex by falling degree, so
         a vertex's edges come close together and its sum completes early."""
-        g = self.g
+        g, incident = self.g, _incident(self.g)
         seen = [False] * g.q
         order: list[int] = []
         stack = sorted(range(g.n), key=lambda v: -g.degrees[v])[::-1]
         while stack:
             v = stack.pop()  # a second visit finds every incident edge seen
-            for i in g.incident[v]:
+            for i in incident[v]:
                 if not seen[i]:
                     seen[i] = True
                     order.append(i)
@@ -292,7 +296,6 @@ class _Search:
         used: list[int] = []
         distinct = int(0 in g.degrees)
         cap = 1 << 62 if b.node_limit is None else b.node_limit + 1
-        alarm = cap if b.time_limit is None else min(cap, 1024)
         nodes = i = label = 0
         u, v, top, checks, ends = depths[0]
         while 0 <= i < q:
@@ -341,14 +344,9 @@ class _Search:
                 u, v, top, checks, ends = depths[i]
                 continue
             nodes += 1
-            if nodes >= alarm:  # past the node limit, or a time check is due
-                if nodes >= cap:
-                    self.nodes += nodes
-                    raise BudgetExceeded(f"node limit {b.node_limit} exceeded", self.nodes)
-                if time.perf_counter() - start > b.time_limit:
-                    self.nodes += nodes
-                    raise BudgetExceeded(f"time limit {b.time_limit}s exceeded", self.nodes)
-                alarm = min(cap, nodes + 1024)
+            if nodes >= cap:
+                self.nodes += nodes
+                raise BudgetExceeded(f"node limit {b.node_limit} exceeded", self.nodes)
             free[label] = False
             sums[u] += label
             sums[v] += label

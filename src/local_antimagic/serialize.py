@@ -28,11 +28,6 @@ from .graphs import Graph, _index, _int
 from .labelings import EdgeLabeling, induced_coloring
 
 
-def graph_to_dict(g: Graph) -> dict[str, object]:
-    """The graph's own tuples, which serialize as JSON lists."""
-    return {"n": g.n, "edges": g.edges, "provenance": g.provenance}
-
-
 # Vertices a document without provenance may name beyond its edge ends:
 # room for isolated vertices, while a count such as 1e12 is refused before
 # a tuple per vertex is built for it.
@@ -58,7 +53,8 @@ def _check_backed(n, edges, provenance) -> None:
 
 
 def document(g: Graph, f: EdgeLabeling | None = None, /, **extra) -> dict[str, object]:
-    doc: dict[str, object] = {"graph": graph_to_dict(g)}
+    """The document of g, f and ``extra``; the graph's tuples dump as JSON lists."""
+    doc: dict[str, object] = {"graph": {"n": g.n, "edges": g.edges, "provenance": g.provenance}}
     if f is not None:
         doc["labels"] = f.labels
     doc.update(extra)

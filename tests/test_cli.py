@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -12,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from local_antimagic.cli import main
+from local_antimagic.cli import build_parser, main
 from local_antimagic.serialize import (
     document,
     graph_from_dict,
-    graph_to_dict,
     parse_document,
     to_dot,
     write_json,
@@ -50,7 +51,7 @@ def run_cli(capsys, monkeypatch, args, stdin=None):
 
 def test_graph_json_roundtrip():
     g = merge_vertices(build_cycle(16), case_plan(1, 2))
-    assert graph_from_dict(graph_to_dict(g)) == g
+    assert graph_from_dict(document(g)["graph"]) == g
 
 
 def test_document_roundtrip():
@@ -418,15 +419,36 @@ def test_union_input_with_a_repeated_label_exits_2(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: labeling must be a bijection onto 1..6")
 
 
-@pytest.mark.parametrize("orders", [5, "33", [3, 3.0]], ids=["a-number", "a-string", "a-float"])
-def test_union_input_with_malformed_orders_exits_2(capsys, monkeypatch, orders):
+def test_transform_union_without_orders_exits_2(capsys, monkeypatch):
+    # An 'orders' field in the document is not read: the flag is required.
     doc = document(union_graph(UnionSpec((3, 3))), EdgeLabeling((1, 2, 3, 4, 5, 6)))
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**doc, "orders": orders})))
-    assert main(["transform", "union", "--directives", '[{"keep":0},{"keep":1}]']) == 2
-    assert capsys.readouterr().err == (
-        f"error: malformed 'orders' field: {orders!r} is not a list of integers\n")
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**doc, "orders": [3, 3]})))
-    assert main(["transform", "union", "--directives", '[{"keep":0},{"keep":1}]']) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["transform", "union", "--directives", '[{"keep":0},{"keep":1}]'])
+    assert err.value.code == 2
+    assert "the following arguments are required: --orders" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["label", "circulant", "--m", "16", "--steps", "1,x"], "--steps"),
+        (["build", "union", "--orders", "3,"], "--orders"),
+        (["spectrum", "--m", "16", "--steps", "1,3", "--against", "1.5"], "--against"),
+    ],
+    ids=["steps", "orders", "against"],
+)
+def test_a_malformed_comma_list_is_a_usage_error(capsys, args, flag):
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert f"error: argument {flag}: invalid" in capsys.readouterr().err
+
+
+def test_a_request_too_large_for_memory_exits_2(capsys):
+    # A tuple of 10^15 vertices is refused at once, before any allocation.
+    assert main(["label", "c", "--m", str(10**15)]) == 2
+    assert capsys.readouterr().err == "error: label: the request is too large for memory\n"
 
 
 # Any integer or float, with vertex counts such as 1e12 that no document
@@ -722,6 +744,107 @@ def test_numpy_stays_off_the_import_path(child, modules):
     expected = {"graphs", "labelings", *modules}
     assert loaded == sorted(f"local_antimagic.{name}" for name in expected)
     assert unwanted == []
+
+
+def _parameters(obj) -> tuple[str, ...]:
+    """A record's fields, else the names of the parameters of ``obj``."""
+    try:
+        return getattr(obj, "_fields", None) or tuple(inspect.signature(obj).parameters)
+    except ValueError:  # an exception that keeps the built-in signature
+        return ("*args",)
+
+
+def _commands(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """Each command under ``parser`` with its positionals and flags."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if subs:
+        return [line for name, sub in subs[0].choices.items()
+                for line in _commands(sub, f"{path} {name}")]
+    return [" ".join([f"{path}:", *(a.option_strings[0] if a.option_strings else a.dest
+                                     for a in parser._actions
+                                     if not isinstance(a, argparse._HelpAction))])]
+
+
+def test_every_public_option_is_listed():
+    import local_antimagic
+    from local_antimagic import reproduce
+
+    # The parameters, record fields and flags are a contract as the names
+    # are: a new option shows here.
+    callables = {name: getattr(local_antimagic, name) for name in local_antimagic.__all__}
+    callables.update({"cli.main": main, "reproduce.run_all": reproduce.run_all})
+    signatures = [f"{name}({', '.join(_parameters(obj))})"
+                  for name, obj in callables.items() if not inspect.ismodule(obj)]
+    assert signatures + _commands(build_parser(), "antimagic") == [
+        "BudgetExceeded(message, nodes)",
+        "CertificationError(*args)",
+        "CirculantSpec(m, steps)",
+        "ConstructionMatrix(s, t, n, arrays, labels, spec, graph, labeling, sums)",
+        "EdgeLabeling(labels)",
+        "FuseCycles(first, second, step)",
+        "Graph(n, us, vs, provenance)",
+        "InducedColoring(sums, colors, conflicts)",
+        "KeepCycle(cycle)",
+        "MergeCycle(cycle, plan)",
+        "MergePlan(n, blocks, kinds)",
+        "OracleResult(value, witness, nodes, seconds, bounds, searches)",
+        "SearchBudget(max_edges, node_limit)",
+        "TwoColorVerdict(bipartite, part_sizes, sizes_distinct, divisibility_ok, pendant_count, "
+        "even_size_pendant_violation, two_colors_possible)",
+        "UnionSpec(orders)",
+        "are_isomorphic(g1, g2)",
+        "build_circulant(spec)",
+        "build_construction_matrix(s, t)",
+        "build_cycle(m)",
+        "build_even_odd_arrays(s, t)",
+        "c_labeling(m)",
+        "c_labeling_sums(m)",
+        "case_plan(case, k)",
+        "certify_multiplier(src, dst, mult)",
+        "check_two_color_necessary(g)",
+        "chromatic_number(g)",
+        "circulant_colors(n, t)",
+        "circulant_labeling(spec)",
+        "circulant_spectrum(spec)",
+        "color_count(g, f)",
+        "exact_chi_la(g, budget)",
+        "family_colors(n)",
+        "feasible_with_colors(g, k, budget)",
+        "induced_coloring(g, f)",
+        "labeling_matrix_view(g, f)",
+        "merge_vertices(g, plan)",
+        "multiplier_isomorphism(n, a, b)",
+        "one_point_union(graphs, attach)",
+        "spectra_equal(s1, s2, tol)",
+        "transform_cycle(n, plan)",
+        "transform_union(spec, labeling, directives)",
+        "union_2labeling_family1(r)",
+        "union_2labeling_family2(r)",
+        "union_3labeling(spec)",
+        "union_graph(spec)",
+        "validate_labeling(g, f)",
+        "verify_case1_circulant(k)",
+        "verify_vertex_map(g1, g2, mapping)",
+        "cli.main(argv)",
+        "reproduce.run_all()",
+        "antimagic build cycle: --m",
+        "antimagic build circulant: --m --steps",
+        "antimagic build union: --orders",
+        "antimagic label c: --m",
+        "antimagic label circulant: --m --steps",
+        "antimagic label union2a: --r",
+        "antimagic label union2b: --r",
+        "antimagic label union3: --orders",
+        "antimagic transform case: --k --case",
+        "antimagic transform matrix: --s --t --render",
+        "antimagic transform union: --orders --directives --input",
+        "antimagic verify: input --expect-colors --two-color-check",
+        "antimagic spectrum: --m --steps --against",
+        "antimagic iso: first second --multiplier --n --a --b",
+        "antimagic oracle: mode input --max-edges --colors --stats",
+        "antimagic export: format input",
+        "antimagic reproduce-all:",
+    ]
 
 
 def test_every_public_name_resolves_and_is_listed():

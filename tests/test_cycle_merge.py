@@ -188,7 +188,7 @@ def test_even_odd_arrays_match_numpy_block_recursion(s, t):
 def test_construction_matrix_sums(s, t):
     built = build_construction_matrix(s, t)
     n = built.n
-    size = built.order
+    size = len(built.labels)
     regular = 2 ** (s - 1) * (n + 2)
     assert built.row_sums[0] == regular - n // 2
     assert all(rs == regular for rs in built.row_sums[1:])

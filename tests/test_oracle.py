@@ -228,14 +228,6 @@ def test_node_limit():
     assert info.value.nodes == 6
 
 
-def test_time_limit_is_checked_every_1024_nodes():
-    # Refuting k = 3 here takes 1281 nodes.
-    g = Graph(5, ((0, 1), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
-    with pytest.raises(BudgetExceeded, match="time limit") as info:
-        exact_chi_la(g, SearchBudget(time_limit=0.0))
-    assert info.value.nodes == 1024
-
-
 # A bowtie (triangles 1-2-6 and 4-5-6) with pendants 0 and 3: chi_la = 5;
 # the lower bound is 3, so k = 3, 4 and 5 are searched.
 THREE_SEARCHES = Graph(7, ((0, 1), (1, 2), (1, 6), (2, 3), (2, 6), (4, 5), (4, 6), (5, 6)))

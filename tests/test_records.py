@@ -126,15 +126,17 @@ def test_derived_attributes_stay_out_of_equality_and_repr():
         PLAN.rank = ()
 
 
-def test_search_budget_is_mutable_and_reads_the_environment_when_made(monkeypatch):
+def test_search_budget_is_immutable_hashable_and_reads_the_environment_when_made(monkeypatch):
     monkeypatch.delenv(oracle.BUDGET_ENV, raising=False)
     budget = la.SearchBudget(max_edges=12, node_limit=5)
-    assert repr(budget) == "SearchBudget(max_edges=12, node_limit=5, time_limit=None)"
+    assert la.SearchBudget._fields == ("max_edges", "node_limit")
+    assert repr(budget) == "SearchBudget(max_edges=12, node_limit=5)"
     assert budget == la.SearchBudget(12, 5) and budget != la.SearchBudget(12)
+    assert hash(budget) == hash((12, 5)) and len({budget, la.SearchBudget(12, 5)}) == 1
+    with pytest.raises(AttributeError):
+        budget.node_limit = 6
     with pytest.raises(TypeError):
-        hash(budget)
-    budget.time_limit = 1.5
-    assert budget.time_limit == 1.5 and budget == la.SearchBudget(12, 5, 1.5)
+        la.SearchBudget(12, 5, 1.5)
     assert la.SearchBudget().max_edges == oracle.DEFAULT_MAX_EDGES
     monkeypatch.setenv(oracle.BUDGET_ENV, "17")
     assert la.SearchBudget().max_edges == la.SearchBudget(None).max_edges == 17
