@@ -141,12 +141,18 @@ def _cmd_transform(args) -> int:
         _emit_document(built.graph, built.labeling, A=built.arrays.evens, B=built.arrays.odds,
                        M01=built.pattern, Mlab=built.labels, steps=built.spec.steps)
         return 0
-    _, f, _ = _read_document(args.input)
+    g, f, _ = _read_document(args.input)
     if f is None:
         raise ValueError("transform union needs a labeled document")
-    from .unions import UnionSpec, transform_union
+    from .unions import UnionSpec, transform_union, union_graph
+    spec = UnionSpec(args.orders)
+    built = union_graph(spec)
+    if (g.n, g.us, g.vs) != (built.n, built.us, built.vs):
+        orders = ",".join(map(str, spec.orders))
+        raise ValueError(f"the document's graph is not the union of --orders {orders}")
+    del g, built  # freed before the transform builds a third graph
     try:
-        result = transform_union(UnionSpec(args.orders), f, _parse_directives(args.directives))
+        result = transform_union(spec, f, _parse_directives(args.directives))
     except CertificationError as exc:
         # The labeling and the directives are input here: a result that
         # is not local antimagic is a failed check, not a library bug.

@@ -429,6 +429,23 @@ def test_transform_union_without_orders_exits_2(capsys, monkeypatch):
     assert "the following arguments are required: --orders" in capsys.readouterr().err
 
 
+def test_transform_union_checks_orders_against_the_document(capsys, monkeypatch):
+    # label union2a --r 3 is the union of cycles 10, 10 and 4; the orders
+    # 12, 8 and 4 have the same edge total but build another graph.
+    code, labeled = run_cli(capsys, monkeypatch, ["label", "union2a", "--r", "3"])
+    assert code == 0
+    directives = '[{"keep":0},{"keep":1},{"keep":2}]'
+    argv = ["transform", "union", "--directives", directives, "--orders"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(labeled))
+    assert main(argv + ["12,8,4"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the document's graph is not the union of --orders 12,8,4\n")
+    code, out = run_cli(capsys, monkeypatch, argv + ["10,10,4"], stdin=labeled)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3543fa696ded69f9e40b8ffff5a1f219e8ec4a5d646aef321637199474d69920")
+
+
 @pytest.mark.parametrize(
     "args,flag",
     [

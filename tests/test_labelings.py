@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -7,18 +9,27 @@ from hypothesis import strategies as st
 
 from local_antimagic import (
     CertificationError,
+    CirculantSpec,
     EdgeLabeling,
     Graph,
+    KeepCycle,
+    UnionSpec,
+    build_construction_matrix,
     build_cycle,
     c_labeling,
     case_plan,
+    circulant_labeling,
     transform_cycle,
+    transform_union,
     check_two_color_necessary,
     color_count,
     induced_coloring,
     union_2labeling_family1,
+    union_2labeling_family2,
+    union_3labeling,
     validate_labeling,
 )
+from local_antimagic import labelings, unions
 from local_antimagic.labelings import certify
 from local_antimagic.reproduce import counterexample_graph
 
@@ -129,11 +140,13 @@ def test_certify_returns_the_coloring_of_a_good_construction():
 
 
 def test_certify_names_the_conflicting_pair_and_sum():
-    multi = Graph(2, ((0, 1), (0, 1)))
-    with pytest.raises(
-        CertificationError, match="^double edge: adjacent vertices 0 and 1 share the sum 3$"
-    ):
-        certify("double edge", multi, EdgeLabeling((1, 2)))
+    # Again on the second call, when the graph keeps the coloring.
+    multi, f = Graph(2, ((0, 1), (0, 1))), EdgeLabeling((1, 2))
+    for _ in range(2):
+        with pytest.raises(
+            CertificationError, match="^double edge: adjacent vertices 0 and 1 share the sum 3$"
+        ):
+            certify("double edge", multi, f)
 
 
 def test_certify_names_both_sum_sets():
@@ -173,3 +186,94 @@ def test_edge_labeling_coerces_like_int():
         with pytest.raises(ValueError) as info:
             EdgeLabeling([1, bad])
         assert str(info.value) == f"label {bad!r} is not an int"
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The labelings validate_labeling checks, in call order."""
+    calls, validate = [], labelings.validate_labeling
+    for module in (labelings, unions):
+        monkeypatch.setattr(module, "validate_labeling",
+                            lambda g, f: calls.append(f) or validate(g, f))
+    return calls
+
+
+def plain_sums(g, labels):
+    sums = [0] * g.n
+    for (u, v), x in zip(g.edges, labels):
+        sums[u] += x
+        sums[v] += x
+    return tuple(sums)
+
+
+def test_a_graph_keeps_only_the_coloring_of_its_own_last_labels(validations):
+    g, f = build_cycle(8), c_labeling(8)
+    first = induced_coloring(g, f)
+    assert induced_coloring(g, f) is first and validations == [f]
+    shifted = EdgeLabeling(f.labels[1:] + f.labels[:1])
+    assert induced_coloring(g, shifted).sums == plain_sums(g, shifted.labels) != first.sums
+    assert validations == [f, shifted]
+    # A path with as many edges: its own sums, never the cycle's entry.
+    path = Graph(9, [(v, v + 1) for v in range(8)])
+    assert induced_coloring(path, f).sums == plain_sums(path, f.labels)
+    assert validations == [f, shifted, f]
+    assert induced_coloring(g, f) == first and validations[-1] is f
+
+
+def test_equal_but_distinct_labels_give_equal_colorings(validations):
+    g, f = build_cycle(9), c_labeling(9)
+    copied = EdgeLabeling(tuple(list(f.labels)))
+    assert copied.labels == f.labels and copied.labels is not f.labels
+    assert induced_coloring(g, f) == induced_coloring(g, copied)
+    assert validations == [f, copied]
+
+
+def test_a_non_bijection_raises_every_time(validations):
+    g, good, bad = build_cycle(4), EdgeLabeling((1, 2, 3, 4)), EdgeLabeling((1, 2, 2, 4))
+    coloring = induced_coloring(g, good)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="bijection onto 1..4"):
+            induced_coloring(g, bad)
+    assert induced_coloring(g, good) is coloring
+    assert validations == [good, bad, bad]
+
+
+def test_a_verified_graph_pickles_copies_and_compares_as_before():
+    g, f = build_cycle(8), c_labeling(8)
+    before = pickle.dumps(g)
+    induced_coloring(g, f)
+    assert pickle.dumps(g) == before
+    assert "_coloring" not in vars(pickle.loads(before))
+    for twin in (pickle.loads(before), copy.copy(g), copy.deepcopy(g), build_cycle(8)):
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        assert "_coloring" not in vars(twin)
+
+
+def test_sums_share_one_int_per_distinct_sum():
+    coloring = induced_coloring(build_cycle(1000), c_labeling(1000))
+    assert min(coloring.colors) > 256  # past the interpreter's cached small ints
+    assert len(set(map(id, coloring.sums))) == len(coloring.colors) == 3
+
+
+CERTIFYING_CONSTRUCTORS = {
+    "union_2labeling_family1": lambda: union_2labeling_family1(5),
+    "union_2labeling_family2": lambda: union_2labeling_family2(5),
+    "union_3labeling": lambda: union_3labeling(UnionSpec((16, 20))),
+    "circulant_labeling": lambda: circulant_labeling(CirculantSpec(16, (1, 3))),
+    "transform_cycle": lambda: transform_cycle(case_plan(1, 3).n, case_plan(1, 3)),
+    "build_construction_matrix": lambda: build_construction_matrix(3, 2),
+    # The input union is built once, at import, so only the transform's
+    # own certification is counted.
+    "transform_union": lambda labeled=union_2labeling_family1(5): transform_union(
+        labeled.spec, labeled.labeling, [KeepCycle(i) for i in range(5)]),
+}
+
+
+@pytest.mark.parametrize("name", CERTIFYING_CONSTRUCTORS)
+def test_checking_a_returned_construction_validates_nothing_again(validations, name):
+    built = CERTIFYING_CONSTRUCTORS[name]()
+    g, f = built if isinstance(built, tuple) else (built.graph, built.labeling)
+    assert validations == [f]
+    assert not induced_coloring(g, f).conflicts
+    color_count(g, f)
+    assert validations == [f]
