@@ -3,18 +3,7 @@ one-point unions of cycles, with an exact small-instance search."""
 
 from importlib import import_module as _import_module
 
-from .graphs import (
-    CertificationError,
-    CirculantSpec,
-    Graph,
-    MergePlan,
-    are_isomorphic,
-    build_circulant,
-    build_cycle,
-    merge_vertices,
-    one_point_union,
-    verify_vertex_map,
-)
+from .graphs import CertificationError, Graph, build_cycle
 from .labelings import (
     EdgeLabeling,
     InducedColoring,
@@ -33,14 +22,16 @@ __version__ = "0.1.0"
 # names then become globals and the hook goes: CPython 3.11 does not
 # specialise attribute reads on a module with __getattr__ (4x slower).
 _LAZY = {
-    "circulants": ("c_labeling", "c_labeling_sums", "certify_multiplier", "circulant_colors",
+    "circulants": ("CirculantSpec", "are_isomorphic", "build_circulant", "c_labeling",
+                   "c_labeling_sums", "certify_multiplier", "circulant_colors",
                    "circulant_labeling", "circulant_spectrum", "labeling_matrix_view",
-                   "multiplier_isomorphism", "spectra_equal"),
-    "cycle_merge": ("ConstructionMatrix", "build_construction_matrix", "build_even_odd_arrays",
-                    "case_plan", "family_colors", "transform_cycle", "verify_case1_circulant"),
-    "unions": ("FuseCycles", "KeepCycle", "MergeCycle", "UnionSpec", "transform_union",
-               "union_2labeling_family1", "union_2labeling_family2", "union_3labeling",
-               "union_graph"),
+                   "multiplier_isomorphism", "spectra_equal", "verify_vertex_map"),
+    "cycle_merge": ("ConstructionMatrix", "MergePlan", "build_construction_matrix",
+                    "build_even_odd_arrays", "case_plan", "family_colors", "merge_vertices",
+                    "transform_cycle", "verify_case1_circulant"),
+    "unions": ("FuseCycles", "KeepCycle", "MergeCycle", "UnionSpec", "one_point_union",
+               "transform_union", "union_2labeling_family1", "union_2labeling_family2",
+               "union_3labeling", "union_graph"),
     "oracle": ("BudgetExceeded", "OracleResult", "SearchBudget", "chromatic_number",
                "exact_chi_la", "feasible_with_colors"),
 }

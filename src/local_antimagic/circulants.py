@@ -1,5 +1,6 @@
-"""Canonical cycle labeling, translated labelings, and the combined
-circulant labeling with three induced sums.
+"""Circulant graphs and their isomorphism certificates, the canonical
+cycle labeling, translated labelings, and the combined circulant labeling
+with three induced sums.
 
 The base cycle labeling alternates small and large labels: edge j gets
 (j+2)/2 when j is even and m-(j-1)/2 when j is odd, giving three induced
@@ -11,17 +12,68 @@ circulant; the combined labeling again has exactly three sums.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
-from .graphs import (
-    CertificationError,
-    CirculantSpec,
-    Graph,
-    Record,
-    _int,
-    build_circulant,
-    verify_vertex_map,
-)
+from .graphs import CertificationError, Graph, Record, _int, _ints
 from .labelings import EdgeLabeling, certify, validate_labeling
+
+
+class CirculantSpec(Record):
+    """Connection set for a circulant graph C_m(a_0, ..., a_t).
+
+    The modulus and the steps are converted by ``_int``.  Every step must
+    be coprime to the modulus; non-coprime steps (which would split into
+    disjoint cycles) are rejected.
+    """
+
+    _fields = ("m", "steps")
+
+    def __init__(self, m: int, steps: tuple[int, ...]):
+        m, steps = _int(m, "modulus"), _ints(steps, "step")
+        if m < 3:
+            raise ValueError("modulus must be at least 3")
+        if not steps:
+            raise ValueError("at least one step is required")
+        if len(set(steps)) != len(steps):
+            raise ValueError("duplicate steps are not allowed")
+        if list(steps) != sorted(steps):
+            raise ValueError("steps must be strictly increasing")
+        half = (m + 1) // 2  # ceil(m/2)
+        for a in steps:
+            if not 1 <= a < half:
+                raise ValueError(f"step {a} outside [1, ceil(m/2)) for m={m}")
+            if math.gcd(a, m) != 1:
+                raise ValueError(
+                    f"unsupported step {a}: gcd({a},{m}) > 1 gives disjoint cycles"
+                )
+        super().__init__(m, steps)
+
+
+def gamma_cycle_sequence(m: int, a: int) -> tuple[int, ...]:
+    """Vertex sequence (0, a, 2a, ..., (m-1)a) mod m of the step-a cycle."""
+    if math.gcd(a % m, m) != 1:
+        raise ValueError(f"step {a} is not coprime to {m}")
+    return tuple((j * a) % m for j in range(m))
+
+
+def _circulant_part(spec: CirculantSpec):
+    us: list[int] = []
+    vs: list[int] = []
+    for a in spec.steps:
+        seq = gamma_cycle_sequence(spec.m, a)
+        us += seq
+        vs += seq[1:] + seq[:1]
+    return spec.m, tuple(us), tuple(vs), None
+
+
+def build_circulant(spec: CirculantSpec) -> Graph:
+    """Circulant graph as the union of step cycles, step-by-step edge order.
+
+    All edges of the first step cycle come first (in cycle order starting
+    at vertex 0), then the second step's, and so on, so position-defined
+    labelings are deterministic.
+    """
+    return Graph._from_ends(*_circulant_part(spec))
 
 
 def c_labeling(m: int) -> EdgeLabeling:
@@ -54,6 +106,14 @@ def circulant_colors(n: int, t: int) -> frozenset[int]:
     )
 
 
+def _translated_labels(m: int, copies: int) -> tuple[int, ...]:
+    """``c_labeling(m)`` translated by i*m on step cycle i < ``copies``."""
+    base, labels = c_labeling(m).labels, []
+    for i in range(copies):
+        labels += map((i * m).__add__, base)
+    return tuple(labels)
+
+
 def circulant_labeling(spec: CirculantSpec) -> tuple[Graph, EdgeLabeling]:
     """Combined labeling of an even-order circulant: the i-th step cycle
     carries the canonical labeling translated by i*m.
@@ -71,11 +131,7 @@ def circulant_labeling(spec: CirculantSpec) -> tuple[Graph, EdgeLabeling]:
     if spec.steps[0] != 1:
         raise ValueError("connection set must contain step 1")
     graph = build_circulant(spec)
-    base = c_labeling(m)
-    labels: list[int] = []
-    for i in range(len(spec.steps)):
-        labels += map((i * m).__add__, base.labels)
-    labeling = EdgeLabeling(tuple(labels))
+    labeling = EdgeLabeling(_translated_labels(m, len(spec.steps)))
     expected = circulant_colors(m // 2, len(spec.steps) - 1)
     certify(f"combined labeling of {spec}", graph, labeling, expected)
     return graph, labeling
@@ -123,6 +179,91 @@ def multiplier_isomorphism(n: int, a: int, b: int) -> list[int]:
     return mapping
 
 
+def are_isomorphic(g1: Graph, g2: Graph) -> list[int] | None:
+    """A vertex bijection carrying g1 onto g2 (multiplicities included), or None.
+
+    Plain backtracking with degree and neighborhood-degree pruning;
+    intended for the small instances this library produces.
+    """
+    if g1.n != g2.n or g1.q != g2.q or sorted(g1.degrees) != sorted(g2.degrees):
+        return None
+    if g1.is_regular():  # so is g2, and every vertex has the same signature
+        sig1 = sig2 = [0] * g1.n
+    else:
+        sig1, sig2 = ([(g.degrees[v], sorted(g.degrees[w] for w in g.adjacency[v]))
+                       for v in range(g.n)] for g in (g1, g2))
+        if sorted(sig1) != sorted(sig2):
+            return None
+
+    # BFS order so each vertex (after the first of a component) has a
+    # mapped neighbor, which shrinks its candidate set to a neighborhood.
+    order = list(chain.from_iterable(g1.components))
+
+    mapping = [-1] * g1.n
+    inverse = [-1] * g2.n
+    used = [False] * g2.n
+
+    def compatible(v: int, w: int) -> bool:
+        if sig1[v] != sig2[w]:
+            return False
+        for u, mult in g1.adjacency[v].items():
+            mu = mapping[u]
+            if mu != -1 and g2.adjacency[w].get(mu, 0) != mult:
+                return False
+        for x, mult in g2.adjacency[w].items():
+            u = inverse[x]
+            if u != -1 and g1.adjacency[v].get(u, 0) != mult:
+                return False
+        return True
+
+    def candidates(v: int) -> list[int]:
+        anchored = [mapping[u] for u in g1.adjacency[v] if mapping[u] != -1]
+        pool = g2.adjacency[anchored[0]] if anchored else range(g2.n)
+        return [w for w in pool if not used[w]][::-1]
+
+    # Backtrack on an explicit stack so that long cycles stay within the
+    # recursion limit: pending[i] holds the untried images of order[i],
+    # last first, so that pop() tries them in candidate order.
+    pending = [candidates(order[0])] if g1.n else []
+    while pending:
+        v = order[len(pending) - 1]
+        w = mapping[v]
+        if w != -1:
+            mapping[v], inverse[w], used[w] = -1, -1, False
+        untried = pending[-1]
+        while untried and not compatible(v, untried[-1]):
+            untried.pop()
+        if not untried:
+            pending.pop()
+            continue
+        w = untried.pop()
+        mapping[v], inverse[w], used[w] = w, v, True
+        if len(pending) == g1.n:
+            break
+        pending.append(candidates(order[len(pending)]))
+    if len(pending) < g1.n:
+        return None
+    if not verify_vertex_map(g1, g2, mapping):
+        raise CertificationError("isomorphism search returned an invalid mapping")
+    return mapping
+
+
+def verify_vertex_map(g1: Graph, g2: Graph, mapping: list[int]) -> bool:
+    """True iff ``mapping`` is a bijection with equal edge multisets."""
+    if sorted(mapping) != list(range(g2.n)):
+        return False
+    image = mapping.__getitem__
+    return (sorted_edge_keys(g2.n, zip(map(image, g1.us), map(image, g1.vs)))
+            == sorted_edge_keys(g2.n, zip(g2.us, g2.vs)))
+
+
+def sorted_edge_keys(n: int, edges) -> list[int]:
+    """The (u, v) pairs ``edges`` on n vertices as the sorted ints
+    min*n + max: two graphs on n vertices have equal edge multisets
+    exactly when these lists are equal."""
+    return sorted([u * n + v if u < v else v * n + u for u, v in edges])
+
+
 def circulant_spectrum(spec: CirculantSpec) -> list[float]:
     """Adjacency eigenvalues via the cosine closed form:
     lambda_j = sum over steps a of 2 cos(2 pi a j / m)."""
@@ -133,12 +274,15 @@ def circulant_spectrum(spec: CirculantSpec) -> list[float]:
     ]
 
 
-def spectra_equal(s1: list[float], s2: list[float], tol: float = 1e-9) -> bool:
+_SPECTRUM_TOL = 1e-9
+
+
+def spectra_equal(s1: list[float], s2: list[float]) -> bool:
     """Multiset comparison of two spectra within an absolute tolerance."""
     if len(s1) != len(s2):
         return False
     for x, y in zip(sorted(s1), sorted(s2)):
-        if abs(x - y) > tol:
+        if abs(x - y) > _SPECTRUM_TOL:
             return False
     return True
 

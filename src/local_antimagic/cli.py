@@ -25,15 +25,7 @@ import os
 import signal
 import sys
 
-from .graphs import (
-    CertificationError,
-    CirculantSpec,
-    Graph,
-    _int,
-    are_isomorphic,
-    build_circulant,
-    build_cycle,
-)
+from .graphs import CertificationError, Graph, _int, build_cycle
 from .labelings import EdgeLabeling, check_two_color_necessary, induced_coloring
 from .serialize import read_document, write_document, write_dot, write_json
 
@@ -67,6 +59,7 @@ def _cmd_build(args) -> int:
     if args.shape == "cycle":
         g = build_cycle(args.m)
     elif args.shape == "circulant":
+        from .circulants import CirculantSpec, build_circulant
         g = build_circulant(CirculantSpec(args.m, args.steps))
     else:
         from .unions import UnionSpec, union_graph
@@ -80,7 +73,7 @@ def _cmd_label(args) -> int:
         from .circulants import c_labeling
         g, f = build_cycle(args.m), c_labeling(args.m)
     elif args.family == "circulant":
-        from .circulants import circulant_labeling
+        from .circulants import CirculantSpec, circulant_labeling
         g, f = circulant_labeling(CirculantSpec(args.m, args.steps))
     else:
         from .unions import (
@@ -187,7 +180,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    from .circulants import circulant_spectrum, spectra_equal
+    from .circulants import CirculantSpec, circulant_spectrum, spectra_equal
     spec = CirculantSpec(args.m, args.steps)
     spectrum = circulant_spectrum(spec)
     out = {"m": args.m, "steps": spec.steps, "spectrum": spectrum}
@@ -204,6 +197,7 @@ def _cmd_iso(args) -> int:
         mapping = multiplier_isomorphism(args.n, args.a, args.b)
         _emit({"isomorphic": True, "mapping": mapping})
         return 0
+    from .circulants import are_isomorphic
     g1, _, _ = _read_document(args.first)
     g2, _, _ = _read_document(args.second)
     mapping = are_isomorphic(g1, g2)

@@ -2,9 +2,10 @@
 merging, plus the iterated block-matrix construction that yields
 even-order circulants of every 2^s degree.
 
-Eight named merge plans cover the residues of n mod 8; merging preserves
-edge labels, so the induced sums of the merged graph are the sums of the
-originals and land on exactly three values per residue family.
+Eight named merge plans cover the residues of n mod 8; merging keeps
+every edge in its place, so the cycle's labels carry over, and the
+induced sums of the merged graph land on exactly three values per
+residue family.
 
 The construction matrix folds the labeled cycle along two arrays: each
 row of the even array and each column of the odd array merges into one
@@ -13,25 +14,129 @@ vertex, and cycle edge j keeps its label in the cell holding its ends.
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
-from operator import is_not
+from functools import partial
+from itertools import chain, compress, islice, repeat
+from operator import eq, is_not, itemgetter, lt
 
 from .graphs import (
     CertificationError,
-    CirculantSpec,
     Graph,
-    MergePlan,
     Record,
-    _circulant_part,
     _cycle_part,
     _int,
-    _merged_part,
+    _ints,
+    _part,
+    _provenance,
+)
+from .circulants import (
+    CirculantSpec,
     build_circulant,
-    sorted_edge_keys,
+    c_labeling,
+    render_table,
     verify_vertex_map,
 )
-from .circulants import c_labeling, render_table
 from .labelings import EdgeLabeling, certify
+
+
+class MergePlan(Record):
+    """Partition of the vertices of C_n into merge blocks.
+
+    Blocks of kind 'A' may contain only even indices, kind 'B' only odd
+    indices; kind 'C' may mix parities (the special block of odd-order
+    transforms).  Whether a block would create a loop is checked against
+    the actual graph at merge time.  n is converted by ``_int``.  Blocks
+    are kept as sorted tuples of ints, each converted by ``_int``, and
+    blocks that already are need no per-block conversion.  ``rank[v]`` is
+    the vertex that v's block merges into: blocks rank by their least
+    vertex, so the block of vertex 0 becomes vertex 0.
+    """
+
+    _fields = ("n", "blocks", "kinds")
+
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...], kinds: tuple[str, ...]):
+        n = _int(n, "cycle order")
+        if not _sorted_int_tuples(blocks):
+            blocks = tuple(tuple(sorted(_ints(block, "block end"))) for block in blocks)
+        if len(kinds) != len(blocks):
+            raise ValueError("one kind per block required")
+        least = [-1] * n  # the least vertex of each vertex's block
+        for block, kind in zip(blocks, kinds):
+            if kind not in ("A", "B", "C"):
+                raise ValueError(f"unknown block kind {kind!r}")
+            if not block:
+                raise ValueError("empty block")
+            if kind == "C":
+                if len(block) > 3:
+                    raise ValueError("C-blocks have size at most 3")
+            else:
+                odd = kind == "B"
+                for v in block:
+                    if v & 1 != odd:
+                        raise ValueError(f"{kind}-block {block} contains an "
+                                         f"{'even' if odd else 'odd'} index")
+            for v in block:
+                if not 0 <= v < n or least[v] >= 0:
+                    raise ValueError("blocks must partition the vertex set")
+                least[v] = block[0]
+        if -1 in least:
+            raise ValueError("blocks must partition the vertex set")
+        # order[v] is the rank of the block whose least vertex is v.
+        order = [0] * n
+        for r, v in enumerate(sorted(map(itemgetter(0), blocks))):
+            order[v] = r
+        super().__init__(n, blocks, kinds)
+        vars(self)["rank"] = tuple(map(order.__getitem__, least))
+
+
+def _sorted_int_tuples(blocks) -> bool:
+    """True iff ``blocks`` is a tuple of strictly increasing tuples of exact
+    ints, by flat passes over all the blocks at once."""
+    if type(blocks) is not tuple or not {*map(type, blocks)} <= {tuple}:
+        return False
+    flat, sizes = [*chain.from_iterable(blocks)], [*map(len, blocks)]
+    # Byte i of ``within`` is nonzero unless flat[i] starts its block, and
+    # then flat[i] must exceed flat[i - 1].
+    pattern = {size: bytes(range(size)) for size in set(sizes)}
+    within = b"".join(map(pattern.__getitem__, sizes))
+    return {*map(type, flat)} <= {int} and all(
+        compress(map(lt, flat, islice(flat, 1, None)), islice(within, 1, None)))
+
+
+def _merged_part(part, plan: MergePlan):
+    n, us, vs, names = part
+    if plan.n != n:
+        raise ValueError(f"plan is for {plan.n} vertices, graph has {n}")
+    rank = plan.rank
+    merged_us, merged_vs = tuple(map(rank.__getitem__, us)), tuple(map(rank.__getitem__, vs))
+    if any(map(eq, merged_us, merged_vs)):
+        u, v = next((u, v) for u, v in zip(us, vs) if rank[u] == rank[v])
+        raise ValueError(
+            f"block {sorted(plan.blocks)[rank[u]]} contains adjacent vertices "
+            f"{u} and {v}; merging would create a loop"
+        )
+    source = partial(_provenance, n, names)
+
+    def provenance():
+        prov = source()
+        return tuple(tuple(sorted({p for v in block for p in prov[v]}, key=_prov_key))
+                     for block in sorted(plan.blocks))
+
+    return len(plan.blocks), merged_us, merged_vs, provenance
+
+
+def merge_vertices(g: Graph, plan: MergePlan) -> Graph:
+    """Collapse each block of the plan into one vertex, keeping all edges.
+
+    The merged vertex takes the rank of the smallest original index among
+    all block minima, so the block of vertex 0 becomes vertex 0; edge
+    indices are preserved.  A block containing two adjacent vertices would
+    create a loop and is rejected.
+    """
+    return Graph._from_ends(*_merged_part(_part(g), plan))
+
+
+def _prov_key(s: str):
+    return (0, int(s)) if s.isdigit() else (1, s)
 
 
 def case_plan(case: int, k: int) -> MergePlan:
@@ -293,9 +398,7 @@ def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
     labeling = EdgeLabeling(tuple(chain.from_iterable(map(compress, labels, filled))))
 
     spec = CirculantSpec(2 * size, construction_steps(s, t))
-    _, circulant_us, circulant_vs, _ = _circulant_part(spec)
-    keys = sorted_edge_keys(2 * size, zip(us, vs))
-    if keys != sorted_edge_keys(2 * size, zip(circulant_us, circulant_vs)):
+    if not verify_vertex_map(graph, build_circulant(spec), [*range(2 * size)]):
         raise CertificationError(f"pattern does not match the adjacency of {spec}")
     regular = 2 ** (s - 1) * (n + 2)
     sums = {regular - n // 2, regular, 2 ** (s - 1) * (n + 1)}

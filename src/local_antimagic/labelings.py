@@ -132,11 +132,7 @@ class TwoColorVerdict(Record):
     """
 
     _fields = ("bipartite", "part_sizes", "sizes_distinct", "divisibility_ok",
-               "pendant_count", "even_size_pendant_violation", "two_colors_possible")
-
-    @property
-    def forced_at_least_three(self) -> bool:
-        return not self.two_colors_possible
+               "pendant_count", "two_colors_possible")
 
 
 def check_two_color_necessary(g: Graph) -> TwoColorVerdict:
@@ -148,13 +144,11 @@ def check_two_color_necessary(g: Graph) -> TwoColorVerdict:
     """
     q, color, pendants = g.q, g._traversal[1], g.degrees.count(1)
     if color is None:
-        return TwoColorVerdict(False, None, False, False, pendants, False, False)
+        return TwoColorVerdict(False, None, False, False, pendants, False)
     sizes = (g.n - sum(color), sum(color))
     sizes_distinct = sizes[0] != sizes[1]
     total = math.comb(q + 1, 2)
     divisibility = all(s > 0 and total % s == 0 for s in sizes)
     even_pendant = q % 2 == 0 and pendants >= 1
     possible = sizes_distinct and divisibility and pendants <= 1 and not even_pendant
-    return TwoColorVerdict(
-        True, sizes, sizes_distinct, divisibility, pendants, even_pendant, possible
-    )
+    return TwoColorVerdict(True, sizes, sizes_distinct, divisibility, pendants, possible)

@@ -20,8 +20,16 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 
-from .circulants import c_labeling, c_labeling_sums, circulant_colors
-from .graphs import CirculantSpec, Graph, Record, are_isomorphic, build_circulant
+from .circulants import (
+    CirculantSpec,
+    _translated_labels,
+    are_isomorphic,
+    build_circulant,
+    c_labeling,
+    c_labeling_sums,
+    circulant_colors,
+)
+from .graphs import Graph, Record
 from .labelings import EdgeLabeling, certify, check_two_color_necessary
 
 
@@ -161,15 +169,15 @@ def _construction(g: Graph) -> tuple[EdgeLabeling, str] | None:
     even-order circulant C_n(1, S) with odd steps; else None.
 
     g is matched by isomorphism, step cycle i taking ``c_labeling(n)``
-    translated by i·n, and the carried labeling is certified on g.  Step 1
-    loses no generality: the inverse of any step maps a circulant onto an
-    isomorphic one that has step 1.
+    translated by i·n as in ``circulant_labeling``, and the carried
+    labeling is certified on g.  Step 1 loses no generality: the inverse
+    of any step maps a circulant onto an isomorphic one that has step 1.
     """
     n = g.n
     if n % 2 or not (g.is_regular() and g.degrees[0] % 2 == 0 and g.is_connected()
                      and g.is_simple()):
         return None
-    d, base, labels = g.degrees[0], c_labeling(n).labels, [0] * g.q
+    d, labels = g.degrees[0], [0] * g.q
     odd = [a for a in range(3, n // 2, 2) if math.gcd(a, n) == 1]
     for rest in combinations(odd, d // 2 - 1):
         spec = CirculantSpec(n, (1, *rest))
@@ -180,9 +188,9 @@ def _construction(g: Graph) -> tuple[EdgeLabeling, str] | None:
     else:
         return None
     position = {(min(u, v), max(u, v)): i for i, (u, v) in enumerate(zip(g.us, g.vs))}
-    for i, (u, v) in enumerate(zip(built.us, built.vs)):
+    for u, v, x in zip(built.us, built.vs, _translated_labels(n, len(spec.steps))):
         a, b = mapping[u], mapping[v]
-        labels[position[min(a, b), max(a, b)]] = base[i % n] + i // n * n
+        labels[position[min(a, b), max(a, b)]] = x
     carried, source = EdgeLabeling(tuple(labels)), f"circulant labeling C_{n}{spec.steps}"
     certify(f"{source} carried onto the input", g, carried, circulant_colors(n // 2, len(rest)))
     return carried, source

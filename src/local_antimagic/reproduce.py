@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 
-from .graphs import CirculantSpec, Graph, Record, build_cycle
+from .graphs import Graph, Record, build_cycle
 from .labelings import (
     check_two_color_necessary,
     color_count,
     induced_coloring,
 )
 from .circulants import (
+    CirculantSpec,
     c_labeling,
     c_labeling_sums,
     circulant_colors,
@@ -153,7 +154,7 @@ def claim_small_oracle():
         verdict.bipartite and verdict.sizes_distinct and verdict.divisibility_ok,
         "bipartition-size conditions",
     )
-    _check(verdict.forced_at_least_three, "not forced to 3 sums")
+    _check(not verdict.two_colors_possible, "not forced to 3 sums")
     _check(feasible_with_colors(g, 2) is None, "2-sum labeling found")
     _check(feasible_with_colors(g, 3) is not None, "no 3-sum labeling")
 

@@ -1,26 +1,25 @@
-"""One-point unions of cycles: explicit labelings with two or three
-induced sums, and the transform that fuses or merges the constituent
-cycles while keeping the label assignment.
+"""One-point unions of cycles: the union itself, explicit labelings with
+two or three induced sums, and the transform that fuses or merges the
+constituent cycles while keeping the label assignment.
 
 All labelings here are indexed globally: the edges of the i-th cycle
 occupy consecutive positions, with the first and last edge of each cycle
-incident to the shared central vertex.
+incident to the shared central vertex, as ``one_point_union`` lays them.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import accumulate, chain
 
 from .graphs import (
     CertificationError,
-    CirculantSpec,
     Graph,
     Record,
-    _circulant_part,
     _cycle_part,
     _ints,
-    _merged_part,
-    _union,
+    _part,
+    _provenance,
 )
 from .labelings import EdgeLabeling, certify, validate_labeling
 
@@ -46,6 +45,47 @@ class UnionSpec(Record):
     @property
     def m(self) -> int:
         return sum(self.orders)
+
+
+def one_point_union(graphs: list[Graph], attach: list[int]) -> Graph:
+    """Identify one chosen vertex of every graph into a single central vertex.
+
+    The central vertex gets index 0; the remaining vertices follow in graph
+    order, then vertex order.  Edges are concatenated graph by graph with
+    endpoints remapped, so edge indices stay stable per component.
+    """
+    return _union([_part(g) for g in graphs], attach)
+
+
+def _union(parts: list, attach: list[int]) -> Graph:
+    """``one_point_union`` of parts."""
+    if not parts:
+        raise ValueError("one-point union of an empty list")
+    if len(attach) != len(parts):
+        raise ValueError("one attach vertex per graph required")
+    offset = 1
+    us: list[int] = []
+    vs: list[int] = []
+    for idx, ((n, part_us, part_vs, _), a) in enumerate(zip(parts, attach)):
+        if not 0 <= a < n:
+            raise ValueError(f"attach vertex {a} out of range for graph {idx}")
+        vmap = [*range(offset, offset + a), 0, *range(offset + a, offset + n - 1)]
+        us += map(vmap.__getitem__, part_us)
+        vs += map(vmap.__getitem__, part_vs)
+        offset += n - 1
+    sources = [(partial(_provenance, n, names), a) for (n, _, _, names), a in zip(parts, attach)]
+
+    def provenance():
+        central: list[str] = []
+        rest: list[tuple[str, ...]] = []
+        for idx, (source, a) in enumerate(sources):
+            prov = source()
+            prefix = "" if len(sources) == 1 else f"c{idx}."
+            central.extend(prefix + p for p in prov[a])
+            rest.extend(tuple(prefix + p for p in entry) for entry in prov[:a] + prov[a + 1:])
+        return (tuple(central), *rest)
+
+    return Graph._from_ends(offset, tuple(us), tuple(vs), provenance)
 
 
 def union_graph(spec: UnionSpec) -> Graph:
@@ -186,6 +226,8 @@ def transform_union(
     original one.  Each cycle must be consumed by exactly one directive.
     The result is verified to be local antimagic before returning.
     """
+    from .circulants import CirculantSpec, _circulant_part
+    from .cycle_merge import _merged_part
     if len(labeling) != spec.m:
         raise ValueError("labeling does not match the union's edge count")
     starts = [0] + list(accumulate(spec.orders))

@@ -201,7 +201,7 @@ def test_criterion_08_union_families():
             assert len(merged.colors) == 3
             verdict = check_two_color_necessary(merged.graph)
             assert verdict.bipartite and not verdict.divisibility_ok
-            assert verdict.forced_at_least_three
+            assert not verdict.two_colors_possible
 
     report("8. union central sums and 2-color identities; 3-color shapes", run, limit=30.0)
 

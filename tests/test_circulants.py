@@ -112,7 +112,7 @@ def test_spectrum_against_numpy():
             adjacency[u, v] += 1
             adjacency[v, u] += 1
         eig = sorted(np.linalg.eigvalsh(adjacency))
-        assert spectra_equal(circulant_spectrum(spec), list(eig), tol=1e-8)
+        assert spectra_equal(circulant_spectrum(spec), list(eig))
 
 
 def test_cospectral_iff_isomorphic_for_c16_pairs():

@@ -320,6 +320,18 @@ def test_malformed_input_exits_2(capsys, monkeypatch, args, stdin, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["verify"], ["export", "json"], ["export", "dot"]])
+def test_a_str_provenance_entry_exits_2(capsys, monkeypatch, args):
+    # The entry "ab" was once read as the two names a and b, with exit 0.
+    doc = {"graph": {"n": 3, "edges": [[0, 1], [1, 2]], "provenance": ["ab", "c", "d"]},
+           "labels": [1, 2]}
+    for text in (json.dumps(doc), json.dumps(doc, indent=2)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(args) == 2
+        assert capsys.readouterr().err == ("error: malformed 'graph' field: "
+                                           """ValueError("provenance entry 'ab' is not a list")\n""")
+
+
 def test_transform_union_of_a_conflicting_labeling_is_a_failed_check(capsys, monkeypatch):
     # Two triangles at vertex 0 labeled 1, 4, 2 and 3, 6, 5: vertices 0
     # and 4 both sum to 11.  The labeling is input, so this is no bug.
@@ -383,12 +395,15 @@ def test_broken_cycle_labeling_exits_3(capsys, monkeypatch, module, args, stdin,
 
 def test_oracle_certifies_its_construction_under_optimize():
     # A broken cycle labeling reaches both construction branches: the cycle
-    # walk, and the circulant carried onto a shuffled C_10(1,3).
+    # walk, and the circulant carried onto a shuffled C_10(1,3), whose
+    # labels circulants translates from its own c_labeling.
     code = (
         "import sys\n"
+        "import local_antimagic.circulants as circulants\n"
         "import local_antimagic.oracle as oracle\n"
         "from local_antimagic import EdgeLabeling\n"
-        "oracle.c_labeling = lambda m: EdgeLabeling((1, 1, *range(3, m + 1)))\n"
+        "circulants.c_labeling = oracle.c_labeling = (\n"
+        "    lambda m: EdgeLabeling((1, 1, *range(3, m + 1))))\n"
         "from local_antimagic.cli import main\n"
         "raise SystemExit(main(sys.argv[1:]))\n"
     )
@@ -734,14 +749,23 @@ READ_VERIFY_INPUT = f"sys.stdin = io.StringIO({VERIFY_INPUT!r})\n"
     "child,modules",
     [
         ("import local_antimagic\n", set()),
+        (run_as_main("build", "cycle", "--m", "16"), {"cli", "serialize"}),
+        (run_as_main("build", "circulant", "--m", "16", "--steps", "1,3"),
+         {"cli", "serialize", "circulants"}),
         (run_as_main("label", "c", "--m", "16"), {"cli", "serialize", "circulants"}),
         (READ_VERIFY_INPUT + run_as_main("verify"), {"cli", "serialize"}),
+        (READ_VERIFY_INPUT + "import tempfile\n"
+         "second = tempfile.NamedTemporaryFile('w', suffix='.json')\n"
+         f"second.write({VERIFY_INPUT!r})\nsecond.flush()\n"
+         + run_as_main("iso", "-", "SECOND").replace("'SECOND'", "second.name"),
+         {"cli", "serialize", "circulants"}),
         (run_as_main("label", "union2a", "--r", "3"), {"cli", "serialize", "unions"}),
         (run_as_main("transform", "case", "--case", "1", "--k", "50"),
          {"cli", "serialize", "circulants", "cycle_merge"}),
         (READ_VERIFY_INPUT + run_as_main("export", "dot"), {"cli", "serialize"}),
     ],
-    ids=["import", "label-c", "verify", "label-union2a", "transform-case", "export-dot"],
+    ids=["import", "build-cycle", "build-circulant", "label-c", "verify", "iso",
+         "label-union2a", "transform-case", "export-dot"],
 )
 def test_numpy_stays_off_the_import_path(child, modules):
     # Each command loads graphs and labelings, which all use, and only the
@@ -807,7 +831,7 @@ def test_every_public_option_is_listed():
         "OracleResult(value, witness, nodes, seconds, bounds, searches)",
         "SearchBudget(max_edges, node_limit)",
         "TwoColorVerdict(bipartite, part_sizes, sizes_distinct, divisibility_ok, pendant_count, "
-        "even_size_pendant_violation, two_colors_possible)",
+        "two_colors_possible)",
         "UnionSpec(orders)",
         "are_isomorphic(g1, g2)",
         "build_circulant(spec)",
@@ -832,7 +856,7 @@ def test_every_public_option_is_listed():
         "merge_vertices(g, plan)",
         "multiplier_isomorphism(n, a, b)",
         "one_point_union(graphs, attach)",
-        "spectra_equal(s1, s2, tol)",
+        "spectra_equal(s1, s2)",
         "transform_cycle(n, plan)",
         "transform_union(spec, labeling, directives)",
         "union_2labeling_family1(r)",

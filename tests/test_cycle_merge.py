@@ -310,13 +310,15 @@ def test_construction_matrix_cross_check_sees_one_moved_edge(monkeypatch):
     # The pattern is compared with the circulant's edges as sorted int
     # keys; a circulant with one edge moved must fail certification, also
     # when the move keeps the sum of the edge's two ends.
-    real = cycle_merge._circulant_part
+    real = cycle_merge.build_circulant
 
     def moved(spec):
-        n, us, vs, names = real(spec)
+        g = real(spec)
+        us, vs = g.us, g.vs
         i = next(i for i, (u, v) in enumerate(zip(us, vs)) if v - u >= 3)
-        return n, us[:i] + (us[i] + 1,) + us[i + 1:], vs[:i] + (vs[i] - 1,) + vs[i + 1:], names
+        us, vs = us[:i] + (us[i] + 1,) + us[i + 1:], vs[:i] + (vs[i] - 1,) + vs[i + 1:]
+        return Graph(g.n, zip(us, vs))
 
-    monkeypatch.setattr(cycle_merge, "_circulant_part", moved)
+    monkeypatch.setattr(cycle_merge, "build_circulant", moved)
     with pytest.raises(CertificationError, match="pattern does not match"):
         build_construction_matrix(2, 1)

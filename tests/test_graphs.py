@@ -40,7 +40,7 @@ from local_antimagic import (
     verify_case1_circulant,
     verify_vertex_map,
 )
-from local_antimagic.graphs import gamma_cycle_sequence
+from local_antimagic.circulants import gamma_cycle_sequence
 from local_antimagic.oracle import first_coloring
 from local_antimagic.serialize import document, graph_from_dict, to_dot
 
@@ -787,6 +787,14 @@ def test_provenance_read_gives_the_original_names():
                                  ("c0.2", "c0.6"), ("c0.3", "c0.7"), ("c1.0",), ("c1.1",))
     matrix = build_construction_matrix(2, 0)
     assert matrix.graph.provenance[:3] == (("0", "8"), ("1", "5"), ("2", "10"))
+
+
+def test_a_provenance_entry_that_is_not_a_list_is_refused():
+    # A str entry was once split into characters: "10" named vertex 10 as 1 and 0.
+    with pytest.raises(ValueError, match="provenance entry '0' is not a list"):
+        Graph(11, [(i, i + 1) for i in range(10)], [str(v) for v in range(11)])
+    with pytest.raises(ValueError, match="provenance entry 'ab' is not a list"):
+        Graph(3, [(0, 1)], [["a"], "ab", ("c",)])
 
 
 def test_graphs_equal_their_json_round_trip():

@@ -2,8 +2,9 @@
 read somewhere in it; ``__future__`` imports and the re-exports of
 ``__init__.py`` are exempt.  No module imports ``dataclasses`` or
 ``typing``, and ``cli.py`` imports the construction modules, the oracle
-and ``reproduce`` only inside the commands that run them.  No module has
-an ``assert`` statement, which ``python -O`` strips."""
+and ``reproduce`` only inside the commands that run them.  Each module's
+top-level imports of package modules are pinned.  No module has an
+``assert`` statement, which ``python -O`` strips."""
 
 import ast
 from pathlib import Path
@@ -59,6 +60,33 @@ def test_cli_imports_what_a_command_runs_inside_the_command():
     top_level = imported_modules(tree.body)
     assert top_level & lazy == set() and {"graphs", "labelings", "serialize"} <= top_level
     assert lazy <= imported_modules(ast.walk(tree))
+
+
+# The package modules each module imports at its top level.  ``verify`` and
+# ``export`` load only the modules ``cli`` reaches this way, so a module that
+# pulls a construction module onto their path shows here.
+TOP_LEVEL_IMPORTS = {
+    "__init__.py": {"graphs", "labelings"},
+    "__main__.py": {"cli"},
+    "graphs.py": set(),
+    "labelings.py": {"graphs"},
+    "circulants.py": {"graphs", "labelings"},
+    "unions.py": {"graphs", "labelings"},
+    "cycle_merge.py": {"graphs", "labelings", "circulants"},
+    "oracle.py": {"graphs", "labelings", "circulants"},
+    "serialize.py": {"graphs", "labelings"},
+    "cli.py": {"graphs", "labelings", "serialize"},
+    "reproduce.py": {"graphs", "labelings", "circulants", "cycle_merge", "unions", "oracle"},
+}
+
+
+def test_each_module_imports_only_its_pinned_package_modules():
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        body = ast.parse(path.read_text(), str(path)).body
+        found[path.name] = imported_modules(
+            node for node in body if isinstance(node, ast.ImportFrom) and node.level)
+    assert found == TOP_LEVEL_IMPORTS
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)

@@ -119,14 +119,14 @@ def test_edge_deletion_lemma_on_cycle():
 
 
 def test_two_color_verdict_on_counterexample():
-    verdict = check_two_color_necessary(counterexample_graph())
+    g = counterexample_graph()
+    verdict = check_two_color_necessary(g)
     assert verdict.bipartite
     assert verdict.part_sizes == (4, 3)
     assert verdict.sizes_distinct and verdict.divisibility_ok
     # Even size with a pendant still rules two colors out.
-    assert verdict.pendant_count == 1
-    assert verdict.even_size_pendant_violation
-    assert verdict.forced_at_least_three
+    assert verdict.pendant_count == 1 and g.q % 2 == 0
+    assert not verdict.two_colors_possible
 
 
 def test_two_color_identity_on_union_labeling():

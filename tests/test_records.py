@@ -30,10 +30,9 @@ RECORDS = [
      "InducedColoring(sums=(3, 4, 5), colors=frozenset({3, 4, 5}), conflicts=())"),
     (la.TwoColorVerdict,
      dict(bipartite=True, part_sizes=(2, 2), sizes_distinct=False, divisibility_ok=True,
-          pendant_count=0, even_size_pendant_violation=False, two_colors_possible=False),
+          pendant_count=0, two_colors_possible=False),
      "TwoColorVerdict(bipartite=True, part_sizes=(2, 2), sizes_distinct=False, "
-     "divisibility_ok=True, pendant_count=0, even_size_pendant_violation=False, "
-     "two_colors_possible=False)"),
+     "divisibility_ok=True, pendant_count=0, two_colors_possible=False)"),
     (circulants.LabelingMatrixView, dict(entries=((None, 1), (1, None)), row_sums=(1, 1)),
      "LabelingMatrixView(entries=((None, 1), (1, None)), row_sums=(1, 1))"),
     (cycle_merge.CycleTransformResult,

@@ -16,7 +16,7 @@ from local_antimagic import (
     union_graph,
 )
 from local_antimagic import labelings, unions
-from local_antimagic.graphs import sorted_edge_keys
+from local_antimagic.circulants import sorted_edge_keys
 from local_antimagic.unions import family1_sequences, family2_sequences
 
 from conftest import assert_two_color_identity
@@ -174,7 +174,7 @@ def test_transform_union_3labeled_shapes_force_three_colors(orders, plans):
     assert result.colors == frozenset({2 * m, 2 * m + 2, result.central_sum})
     verdict = check_two_color_necessary(result.graph)
     assert verdict.bipartite and not verdict.divisibility_ok
-    assert verdict.forced_at_least_three
+    assert not verdict.two_colors_possible
 
 
 def test_transform_union_consumption_checks():
