@@ -21,21 +21,18 @@ __version__ = "0.1.0"
 # imports the modules it needs itself.  The first use imports all four; their
 # names then become globals and the hook goes: CPython 3.11 does not
 # specialise attribute reads on a module with __getattr__ (4x slower).
-_LAZY = {
-    "circulants": ("CirculantSpec", "are_isomorphic", "build_circulant", "c_labeling",
-                   "c_labeling_sums", "certify_multiplier", "circulant_colors",
-                   "circulant_labeling", "circulant_spectrum", "labeling_matrix_view",
-                   "multiplier_isomorphism", "spectra_equal", "verify_vertex_map"),
-    "cycle_merge": ("ConstructionMatrix", "MergePlan", "build_construction_matrix",
-                    "build_even_odd_arrays", "case_plan", "family_colors", "merge_vertices",
-                    "transform_cycle", "verify_case1_circulant"),
-    "unions": ("FuseCycles", "KeepCycle", "MergeCycle", "UnionSpec", "one_point_union",
-               "transform_union", "union_2labeling_family1", "union_2labeling_family2",
-               "union_3labeling", "union_graph"),
-    "oracle": ("BudgetExceeded", "OracleResult", "SearchBudget", "chromatic_number",
-               "exact_chi_la", "feasible_with_colors"),
-}
-_LAZY_NAMES = frozenset(_LAZY).union(*_LAZY.values())
+_LAZY = ("circulants", "cycle_merge", "unions", "oracle")
+_LAZY_NAMES = frozenset({
+    *_LAZY, "BudgetExceeded", "CirculantSpec", "ConstructionMatrix", "FuseCycles",
+    "KeepCycle", "MergeCycle", "MergePlan", "OracleResult", "SearchBudget", "UnionSpec",
+    "are_isomorphic", "build_circulant", "build_construction_matrix", "build_even_odd_arrays",
+    "c_labeling", "c_labeling_sums", "case_plan", "certify_multiplier", "chromatic_number",
+    "circulant_colors", "circulant_labeling", "circulant_spectrum", "exact_chi_la",
+    "family_colors", "feasible_with_colors", "labeling_matrix_view", "merge_vertices",
+    "multiplier_isomorphism", "one_point_union", "spectra_equal", "transform_cycle",
+    "transform_union", "union_2labeling_family1", "union_2labeling_family2", "union_3labeling",
+    "union_graph", "verify_case1_circulant", "verify_vertex_map",
+})
 
 __all__ = sorted({*(name for name in globals() if not name.startswith("_")), *_LAZY_NAMES})
 
@@ -43,9 +40,9 @@ __all__ = sorted({*(name for name in globals() if not name.startswith("_")), *_L
 def __getattr__(name: str):
     if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    for module, names in _LAZY.items():
-        source = _import_module(f".{module}", __name__)
-        globals().update((key, getattr(source, key)) for key in names)
+    for module in _LAZY:
+        source = vars(_import_module(f".{module}", __name__))
+        globals().update((key, source[key]) for key in _LAZY_NAMES.intersection(source))
     globals().pop("__getattr__", None)
     return globals()[name]
 

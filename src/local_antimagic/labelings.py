@@ -131,8 +131,7 @@ class TwoColorVerdict(Record):
     ``part_sizes`` is None when the graph is not bipartite.
     """
 
-    _fields = ("bipartite", "part_sizes", "sizes_distinct", "divisibility_ok",
-               "pendant_count", "two_colors_possible")
+    _fields = ("bipartite", "part_sizes", "pendant_count", "two_colors_possible")
 
 
 def check_two_color_necessary(g: Graph) -> TwoColorVerdict:
@@ -144,11 +143,10 @@ def check_two_color_necessary(g: Graph) -> TwoColorVerdict:
     """
     q, color, pendants = g.q, g._traversal[1], g.degrees.count(1)
     if color is None:
-        return TwoColorVerdict(False, None, False, False, pendants, False)
+        return TwoColorVerdict(False, None, pendants, False)
     sizes = (g.n - sum(color), sum(color))
-    sizes_distinct = sizes[0] != sizes[1]
     total = math.comb(q + 1, 2)
     divisibility = all(s > 0 and total % s == 0 for s in sizes)
     even_pendant = q % 2 == 0 and pendants >= 1
-    possible = sizes_distinct and divisibility and pendants <= 1 and not even_pendant
-    return TwoColorVerdict(True, sizes, sizes_distinct, divisibility, pendants, possible)
+    possible = sizes[0] != sizes[1] and divisibility and pendants <= 1 and not even_pendant
+    return TwoColorVerdict(True, sizes, pendants, possible)

@@ -2,9 +2,9 @@
 
 Intended for cross-checking the constructive labelings on small graphs.
 ``exact_chi_la`` and ``feasible_with_colors`` check a hard edge budget
-(raise it explicitly, or via the ANTIMAGIC_BUDGET_EDGES environment
-variable, when you mean it), then take the bounds of ``_bounds``, and
-search only where they do not meet.  The search is one iterative loop, so
+(raise it explicitly when you mean it), then take the bounds of
+``_bounds``, and search only where they do not meet; a search witness is
+certified before it is returned.  The search is one iterative loop, so
 its depth has no recursion limit.  It labels edge by edge in a
 vertex-clustering order, prunes on adjacent completed-sum ties, and bounds
 by the distinct sums frozen: a depth that completes more vertices than new
@@ -14,7 +14,6 @@ sums still fit tries only the labels that land one on a sum in use.
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections import namedtuple
 from functools import cached_property
@@ -29,11 +28,12 @@ from .circulants import (
     c_labeling_sums,
     circulant_colors,
 )
-from .graphs import Graph, Record
+from .graphs import CertificationError, Graph, Record
 from .labelings import EdgeLabeling, certify, check_two_color_necessary
 
 
 DEFAULT_MAX_EDGES = 10
+# Unread here: perfbench/workloads.py::child_env reads it to clear the variable.
 BUDGET_ENV = "ANTIMAGIC_BUDGET_EDGES"
 
 
@@ -45,22 +45,14 @@ class BudgetExceeded(RuntimeError):
         self.nodes = nodes
 
 
-def _default_max_edges() -> int:
-    raw = os.environ.get(BUDGET_ENV) or str(DEFAULT_MAX_EDGES)
-    if not raw.strip().isdecimal():
-        raise ValueError(f"{BUDGET_ENV} must be a non-negative integer, got {raw!r}")
-    return int(raw)
-
-
 class SearchBudget(Record):
     """The limits of one search: an edge limit, ``max_edges`` (by default
-    ANTIMAGIC_BUDGET_EDGES, read when the budget is made, or 10), and an
-    optional node limit per run, ``node_limit``."""
+    10), and an optional node limit per run, ``node_limit``."""
 
     _fields = ("max_edges", "node_limit")
 
     def __init__(self, max_edges: int | None = None, node_limit: int | None = None):
-        super().__init__(_default_max_edges() if max_edges is None else max_edges, node_limit)
+        super().__init__(DEFAULT_MAX_EDGES if max_edges is None else max_edges, node_limit)
 
 
 class Bounds(Record):
@@ -243,7 +235,7 @@ class _Search:
         if g.q > budget.max_edges:
             raise BudgetExceeded(
                 f"{g.q} edges exceeds the search budget of {budget.max_edges}; "
-                f"raise SearchBudget.max_edges or {BUDGET_ENV} to override"
+                "raise SearchBudget.max_edges or --max-edges to override"
             )
         self.g = g
         self.budget = budget
@@ -378,6 +370,16 @@ class _Search:
         return [x for _, x in sorted(zip(self.order, picked))] if i == q else None
 
 
+def _certified(g: Graph, found: list[int], low: int, high: int) -> EdgeLabeling:
+    """The search's labels, certified on g with ``low`` to ``high`` sums:
+    any other count would mean a wrong lower bound or a wrong search."""
+    witness = EdgeLabeling(tuple(found))
+    count = len(certify("search witness", g, witness).colors)
+    if not low <= count <= high:
+        raise CertificationError(f"search witness: {count} sums, outside [{low}, {high}]")
+    return witness
+
+
 def feasible_with_colors(
     g: Graph, k: int, budget: SearchBudget | None = None
 ) -> EdgeLabeling | None:
@@ -393,7 +395,7 @@ def feasible_with_colors(
     if built is not None:
         return built[0]
     found = search.run(k)
-    return EdgeLabeling(tuple(found)) if found is not None else None
+    return _certified(g, found, lower, k) if found is not None else None
 
 
 def exact_chi_la(g: Graph, budget: SearchBudget | None = None) -> OracleResult:
@@ -414,8 +416,9 @@ def exact_chi_la(g: Graph, budget: SearchBudget | None = None) -> OracleResult:
     for k in range(lower, g.n + 1):
         found = search.run(k)
         if found is not None:
+            # Every k below was refuted, so the witness has exactly k sums.
             return OracleResult(
-                k, EdgeLabeling(tuple(found)), search.nodes, time.perf_counter() - start,
+                k, _certified(g, found, k, k), search.nodes, time.perf_counter() - start,
                 Bounds(lower, lower_source, k, "search witness"), tuple(search.runs),
             )
     raise ValueError("graph admits no local antimagic labeling")

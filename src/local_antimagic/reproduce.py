@@ -43,7 +43,7 @@ from .unions import (
     union_2labeling_family2,
     union_3labeling,
 )
-from .oracle import BudgetExceeded, exact_chi_la, feasible_with_colors
+from .oracle import exact_chi_la, feasible_with_colors
 
 
 def _check(ok: bool, what: str) -> None:
@@ -149,11 +149,10 @@ def claim_small_oracle():
         _check(exact_chi_la(build_cycle(m)).value == 3, f"chi_la(C_{m})")
     g = counterexample_graph()
     verdict = check_two_color_necessary(g)
-    # Passes the bipartition-size conditions, yet 2 colors are impossible.
-    _check(
-        verdict.bipartite and verdict.sizes_distinct and verdict.divisibility_ok,
-        "bipartition-size conditions",
-    )
+    # Unequal parts that each divide (q+1 choose 2), yet 2 colors are impossible.
+    sizes, total = verdict.part_sizes, math.comb(g.q + 1, 2)
+    _check(verdict.bipartite and sizes[0] != sizes[1] and all(total % s == 0 for s in sizes),
+           "bipartition-size conditions")
     _check(not verdict.two_colors_possible, "not forced to 3 sums")
     _check(feasible_with_colors(g, 2) is None, "2-sum labeling found")
     _check(feasible_with_colors(g, 3) is not None, "no 3-sum labeling")
@@ -185,8 +184,6 @@ def run_all() -> int:
     for claim in CLAIMS:
         try:
             claim.run()
-        except BudgetExceeded as exc:
-            print(f"skip  {claim.name}: {exc}")
         except Exception as exc:
             failures += 1
             print(f"FAIL  {claim.name}: {exc!r}")

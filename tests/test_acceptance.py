@@ -200,7 +200,8 @@ def test_criterion_08_union_families():
             )
             assert len(merged.colors) == 3
             verdict = check_two_color_necessary(merged.graph)
-            assert verdict.bipartite and not verdict.divisibility_ok
+            total = math.comb(merged.graph.q + 1, 2)
+            assert verdict.bipartite and any(total % size for size in verdict.part_sizes)
             assert not verdict.two_colors_possible
 
     report("8. union central sums and 2-color identities; 3-color shapes", run, limit=30.0)

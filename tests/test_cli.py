@@ -198,9 +198,8 @@ def test_oracle_stats_list_each_k_searched(capsys, monkeypatch):
 
 def test_oracle_search_deeper_than_the_recursion_limit(capsys, monkeypatch):
     path = json.dumps(document(Graph(1501, tuple((v, v + 1) for v in range(1500)))))
-    monkeypatch.setenv(oracle.BUDGET_ENV, "2000")
-    code, out = run_cli(capsys, monkeypatch, ["oracle", "chi-la", "--colors", "1501"],
-                        stdin=path)
+    code, out = run_cli(capsys, monkeypatch,
+                        ["oracle", "chi-la", "--colors", "1501", "--max-edges", "2000"], stdin=path)
     assert code == 0 and json.loads(out)["feasible"]
 
 
@@ -223,16 +222,6 @@ def test_oracle_refuses_a_negative_count_as_usage(capsys, monkeypatch, flag, val
     assert "--max-edges and --colors take non-negative integers" in captured.err
 
 
-def test_oracle_names_a_malformed_budget_variable(capsys, monkeypatch):
-    monkeypatch.setenv(oracle.BUDGET_ENV, "abc")
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document(build_cycle(5)))))
-    assert main(["oracle", "chi-la"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: {oracle.BUDGET_ENV} must be a non-negative integer, "
-                            "got 'abc'\n")
-
-
 def test_export_roundtrip_identity(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, ["label", "c", "--m", "7"])
     code, out2 = run_cli(capsys, monkeypatch, ["export", "json"], stdin=out)
@@ -250,6 +239,18 @@ def test_reproduce_all(capsys, monkeypatch):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("ok") >= 9
+
+
+def test_reproduce_all_counts_and_prints_a_failing_claim(capsys, monkeypatch):
+    from local_antimagic import reproduce
+
+    def broken():
+        raise AssertionError("C_3 sums")
+
+    monkeypatch.setattr(reproduce, "CLAIMS", [reproduce.Claim("one", broken),
+                                              reproduce.Claim("two", lambda: None)])
+    assert reproduce.run_all() == 1
+    assert capsys.readouterr().out == "FAIL  one: AssertionError('C_3 sums')\nok    two\n"
 
 
 def test_reproduce_all_fails_a_broken_claim_under_optimize():
@@ -355,6 +356,18 @@ def test_certification_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(circulants, "c_labeling", lambda m: EdgeLabeling(range(1, m + 1)))
     assert main(["label", "circulant", "--m", "16", "--steps", "1,3"]) == 3
     assert capsys.readouterr().err.startswith("certification failed: combined labeling of")
+
+
+def test_a_wrong_search_witness_exits_3(capsys, monkeypatch):
+    # The identity labeling of K_3,3 ties vertices 1 and 4.
+    monkeypatch.setattr(oracle._Search, "run", lambda self, k: list(range(1, 10)))
+    k33 = Graph(6, tuple((u, 3 + v) for u in range(3) for v in range(3)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document(k33))))
+    assert main(["oracle", "chi-la"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("certification failed: search witness: adjacent vertices 1 and 4 "
+                            "share the sum 15\n")
 
 
 def test_certification_failure_exits_3_under_optimize():
@@ -830,8 +843,7 @@ def test_every_public_option_is_listed():
         "MergePlan(n, blocks, kinds)",
         "OracleResult(value, witness, nodes, seconds, bounds, searches)",
         "SearchBudget(max_edges, node_limit)",
-        "TwoColorVerdict(bipartite, part_sizes, sizes_distinct, divisibility_ok, pendant_count, "
-        "two_colors_possible)",
+        "TwoColorVerdict(bipartite, part_sizes, pendant_count, two_colors_possible)",
         "UnionSpec(orders)",
         "are_isomorphic(g1, g2)",
         "build_circulant(spec)",

@@ -306,6 +306,17 @@ def test_case_plan_requires_k_at_least_two():
         case_plan(9, 2)
 
 
+def test_a_plan_for_another_order_is_refused():
+    plan = case_plan(1, 2)
+    assert plan.n == 16
+    with pytest.raises(ValueError, match="^plan is for 16 vertices, graph has 10$"):
+        merge_vertices(build_cycle(10), plan)
+    with pytest.raises(ValueError, match="^plan order 16 does not match n=10$"):
+        transform_cycle(10, plan)
+    with pytest.raises(ValueError, match=r"^requires s >= 2 and t >= 0$"):
+        build_even_odd_arrays(1, 0)
+
+
 def test_construction_matrix_cross_check_sees_one_moved_edge(monkeypatch):
     # The pattern is compared with the circulant's edges as sorted int
     # keys; a circulant with one edge moved must fail certification, also

@@ -4,7 +4,8 @@ read somewhere in it; ``__future__`` imports and the re-exports of
 ``typing``, and ``cli.py`` imports the construction modules, the oracle
 and ``reproduce`` only inside the commands that run them.  Each module's
 top-level imports of package modules are pinned.  No module has an
-``assert`` statement, which ``python -O`` strips."""
+``assert`` statement, which ``python -O`` strips, and none reads the
+environment: a result depends only on its arguments."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,12 @@ def test_no_module_asserts(path):
     # A check must raise under -O too: CertificationError or ValueError.
     tree = ast.parse(path.read_text(), str(path))
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_reads_the_environment(path):
+    tree = ast.parse(path.read_text(), str(path))
+    # Names, attributes, imported names and strings (getattr(os, "environ")).
+    found = {getattr(node, field, None) for node in ast.walk(tree)
+             for field in ("id", "attr", "name", "value")}
+    assert found & {"environ", "environb", "getenv", "getenvb"} == set()

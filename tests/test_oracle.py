@@ -7,6 +7,7 @@ import pytest
 
 from local_antimagic import (
     BudgetExceeded,
+    CertificationError,
     CirculantSpec,
     EdgeLabeling,
     Graph,
@@ -22,7 +23,7 @@ from local_antimagic import (
 )
 from local_antimagic import circulants, graphs, labelings, oracle
 from local_antimagic.labelings import certify
-from local_antimagic.oracle import BUDGET_ENV, Bounds, _bounds, _construction, _cycle, _Search
+from local_antimagic.oracle import Bounds, _bounds, _construction, _cycle, _Search
 from local_antimagic.reproduce import counterexample_graph
 
 from conftest import DATA, random_connected_graph, random_connected_multigraph, shuffled
@@ -207,19 +208,43 @@ def test_budget_enforced():
     assert exact_chi_la(g, SearchBudget(max_edges=12)).value == 3
 
 
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV, "4")
-    assert SearchBudget().max_edges == 4
-    monkeypatch.delenv(BUDGET_ENV)
-    assert SearchBudget().max_edges == 10
+K33 = complete_bipartite(3, 3)
 
 
-@pytest.mark.parametrize("raw", ["abc", "-5", "4.5"])
-def test_budget_env_must_be_a_non_negative_integer(monkeypatch, raw):
-    monkeypatch.setenv(BUDGET_ENV, raw)
-    with pytest.raises(ValueError, match=f"^{BUDGET_ENV} must be a non-negative integer"):
-        SearchBudget()
-    assert SearchBudget(max_edges=4).max_edges == 4
+@pytest.mark.parametrize("labels,message", [
+    # The identity labeling ties vertices 1 and 4 at 4+5+6 = 2+5+8.
+    (range(1, 10), "adjacent vertices 1 and 4 share the sum 15"),
+    # Local antimagic, but with 4 sums where k = 3 was asked for.
+    ((1, 2, 3, 5, 6, 8, 9, 7, 4), r"4 sums, outside \[3, 3\]"),
+])
+def test_a_wrong_search_witness_fails_certification(monkeypatch, labels, message):
+    monkeypatch.setattr(_Search, "run", lambda self, k: list(labels))
+    for call in (lambda: exact_chi_la(K33), lambda: feasible_with_colors(K33, 3)):
+        with pytest.raises(CertificationError, match=f"^search witness: {message}"):
+            call()
+
+
+def test_a_search_witness_lies_between_the_lower_bound_and_k(monkeypatch):
+    four = EdgeLabeling((1, 2, 3, 5, 6, 8, 9, 7, 4))
+    monkeypatch.setattr(_Search, "run", lambda self, k: list(four.labels))
+    assert feasible_with_colors(K33, 5) == four
+    # A lower bound above the witness's 4 sums would be a wrong bound.
+    monkeypatch.setattr(oracle, "_bounds", lambda g, k: (5, "chromatic number", None))
+    with pytest.raises(CertificationError, match=r"4 sums, outside \[5, 9\]"):
+        feasible_with_colors(K33, 9)
+
+
+@pytest.mark.parametrize("index,value", [(121, 2), (146, 2), (444, 3), (448, 3)])
+def test_atlas_graphs_that_pass_the_two_sum_conditions(index, value):
+    # The conditions are necessary, not sufficient: 444 and 448 pass them
+    # and still need 3 sums.
+    nx = pytest.importorskip("networkx")
+    h = nx.graph_atlas(index)
+    g = Graph(h.number_of_nodes(), tuple(h.edges()))
+    assert check_two_color_necessary(g).two_colors_possible
+    result = exact_chi_la(g)
+    assert result.value == value and result.bounds.lower == 2
+    assert result.bounds.upper_source == "search witness"
 
 
 def test_node_limit():
@@ -458,7 +483,11 @@ def test_constructions_settle_without_search(g, source):
 def test_other_graphs_are_searched_or_refused_as_before():
     triangles = Graph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
     double_edge = Graph(2, ((0, 1), (0, 1)))
-    for g in (double_edge, triangles, complete_bipartite(3, 3), counterexample_graph()):
+    # The 4-cube is 4-regular and bipartite on 16 vertices, like C_16(1, a),
+    # but isomorphic to none of them.
+    q4 = Graph(16, tuple((v, v ^ bit) for v in range(16) for bit in (1, 2, 4, 8) if v < v ^ bit))
+    assert set(q4.degrees) == {4} and check_two_color_necessary(q4).bipartite
+    for g in (double_edge, triangles, complete_bipartite(3, 3), counterexample_graph(), q4):
         assert _cycle(g) is None and _construction(g) is None
     with pytest.raises(ValueError, match="no local antimagic"):
         exact_chi_la(double_edge)

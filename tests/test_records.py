@@ -29,10 +29,9 @@ RECORDS = [
     (la.InducedColoring, dict(sums=(3, 4, 5), colors=frozenset({3, 4, 5}), conflicts=()),
      "InducedColoring(sums=(3, 4, 5), colors=frozenset({3, 4, 5}), conflicts=())"),
     (la.TwoColorVerdict,
-     dict(bipartite=True, part_sizes=(2, 2), sizes_distinct=False, divisibility_ok=True,
-          pendant_count=0, two_colors_possible=False),
-     "TwoColorVerdict(bipartite=True, part_sizes=(2, 2), sizes_distinct=False, "
-     "divisibility_ok=True, pendant_count=0, two_colors_possible=False)"),
+     dict(bipartite=True, part_sizes=(2, 2), pendant_count=0, two_colors_possible=False),
+     "TwoColorVerdict(bipartite=True, part_sizes=(2, 2), pendant_count=0, "
+     "two_colors_possible=False)"),
     (circulants.LabelingMatrixView, dict(entries=((None, 1), (1, None)), row_sums=(1, 1)),
      "LabelingMatrixView(entries=((None, 1), (1, None)), row_sums=(1, 1))"),
     (cycle_merge.CycleTransformResult,
@@ -125,8 +124,7 @@ def test_derived_attributes_stay_out_of_equality_and_repr():
         PLAN.rank = ()
 
 
-def test_search_budget_is_immutable_hashable_and_reads_the_environment_when_made(monkeypatch):
-    monkeypatch.delenv(oracle.BUDGET_ENV, raising=False)
+def test_search_budget_is_immutable_hashable(monkeypatch):
     budget = la.SearchBudget(max_edges=12, node_limit=5)
     assert la.SearchBudget._fields == ("max_edges", "node_limit")
     assert repr(budget) == "SearchBudget(max_edges=12, node_limit=5)"
@@ -136,10 +134,10 @@ def test_search_budget_is_immutable_hashable_and_reads_the_environment_when_made
         budget.node_limit = 6
     with pytest.raises(TypeError):
         la.SearchBudget(12, 5, 1.5)
-    assert la.SearchBudget().max_edges == oracle.DEFAULT_MAX_EDGES
-    monkeypatch.setenv(oracle.BUDGET_ENV, "17")
-    assert la.SearchBudget().max_edges == la.SearchBudget(None).max_edges == 17
-    assert budget.max_edges == 12
+    # The default comes from no environment variable.
+    monkeypatch.setenv(oracle.BUDGET_ENV, "4")
+    assert la.SearchBudget() == la.SearchBudget(None) == la.SearchBudget(10, None)
+    assert oracle.DEFAULT_MAX_EDGES == 10
 
 
 def test_search_runs_are_named_tuples():

@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from local_antimagic import (
+    EdgeLabeling,
     FuseCycles,
     KeepCycle,
     MergeCycle,
     UnionSpec,
+    build_cycle,
     case_plan,
     check_two_color_necessary,
     induced_coloring,
+    one_point_union,
     transform_union,
     union_2labeling_family1,
     union_2labeling_family2,
@@ -173,8 +178,19 @@ def test_transform_union_3labeled_shapes_force_three_colors(orders, plans):
     m = spec.m
     assert result.colors == frozenset({2 * m, 2 * m + 2, result.central_sum})
     verdict = check_two_color_necessary(result.graph)
-    assert verdict.bipartite and not verdict.divisibility_ok
+    total = math.comb(result.graph.q + 1, 2)
+    assert verdict.bipartite and any(total % size for size in verdict.part_sizes)
     assert not verdict.two_colors_possible
+
+
+@pytest.mark.parametrize("graphs,attach,message", [
+    ([], [], "one-point union of an empty list"),
+    ([build_cycle(3), build_cycle(4)], [0], "one attach vertex per graph required"),
+    ([build_cycle(3), build_cycle(4)], [2, 4], "attach vertex 4 out of range for graph 1"),
+])
+def test_one_point_union_input_checks(graphs, attach, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        one_point_union(graphs, attach)
 
 
 def test_transform_union_consumption_checks():
@@ -191,3 +207,11 @@ def test_transform_union_consumption_checks():
         transform_union(
             labeled.spec, labeled.labeling, [FuseCycles(0, 2, 3), KeepCycle(1)]
         )
+    spec, f = labeled.spec, labeled.labeling
+    keep = [KeepCycle(i) for i in range(spec.r)]
+    with pytest.raises(ValueError, match="^labeling does not match the union's edge count$"):
+        transform_union(spec, EdgeLabeling(f.labels[:-1]), keep)
+    with pytest.raises(ValueError, match=f"^cycle index {spec.r} out of range$"):
+        transform_union(spec, f, [*keep, KeepCycle(spec.r)])
+    with pytest.raises(TypeError, match="^unknown directive 'keep'$"):
+        transform_union(spec, f, [*keep[1:], "keep"])
