@@ -7,6 +7,7 @@ from .graphs import CertificationError, Graph, build_cycle
 from .labelings import (
     EdgeLabeling,
     InducedColoring,
+    Labeled,
     TwoColorVerdict,
     check_two_color_necessary,
     color_count,

@@ -6,7 +6,8 @@ The base cycle labeling alternates small and large labels: edge j gets
 (j+2)/2 when j is even and m-(j-1)/2 when j is odd, giving three induced
 sums (floor(m/2)+2 at v_0, m+1 at odd vertices, m+2 at the other evens).
 Copies translated by i*m are laid on the step cycles of an even-order
-circulant; the combined labeling again has exactly three sums.
+circulant; the combined labeling again has exactly three sums
+(``circulant_labeling`` returns a ``Labeled``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from itertools import chain
 
 from .graphs import CertificationError, Graph, Record, _int, _ints
-from .labelings import EdgeLabeling, certify, validate_labeling
+from .labelings import EdgeLabeling, Labeled, certify, validate_labeling
 
 
 class CirculantSpec(Record):
@@ -114,7 +115,7 @@ def _translated_labels(m: int, copies: int) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def circulant_labeling(spec: CirculantSpec) -> tuple[Graph, EdgeLabeling]:
+def circulant_labeling(spec: CirculantSpec) -> Labeled:
     """Combined labeling of an even-order circulant: the i-th step cycle
     carries the canonical labeling translated by i*m.
 
@@ -133,8 +134,8 @@ def circulant_labeling(spec: CirculantSpec) -> tuple[Graph, EdgeLabeling]:
     graph = build_circulant(spec)
     labeling = EdgeLabeling(_translated_labels(m, len(spec.steps)))
     expected = circulant_colors(m // 2, len(spec.steps) - 1)
-    certify(f"combined labeling of {spec}", graph, labeling, expected)
-    return graph, labeling
+    return Labeled(graph, labeling,
+                   certify(f"combined labeling of {spec}", graph, labeling, expected))
 
 
 def _canonical_step(a: int, n: int) -> int:
@@ -163,6 +164,7 @@ def multiplier_isomorphism(n: int, a: int, b: int) -> list[int]:
     Valid whenever a*b = +-1 (mod n); any other pair is refused rather
     than tried, since the lemma gives no guarantee there.
     """
+    n, a, b = _int(n, "modulus"), _int(a, "step"), _int(b, "multiplier")
     if n < 3:
         raise ValueError("modulus must be at least 3")
     if math.gcd(a, n) != 1:
@@ -249,8 +251,9 @@ def are_isomorphic(g1: Graph, g2: Graph) -> list[int] | None:
 
 
 def verify_vertex_map(g1: Graph, g2: Graph, mapping: list[int]) -> bool:
-    """True iff ``mapping`` is a bijection with equal edge multisets."""
-    if sorted(mapping) != list(range(g2.n)):
+    """True iff ``mapping`` is a bijection from g1's vertices onto g2's
+    with equal edge multisets."""
+    if not len(mapping) == g1.n == g2.n or sorted(mapping) != list(range(g2.n)):
         return False
     image = mapping.__getitem__
     return (sorted_edge_keys(g2.n, zip(map(image, g1.us), map(image, g1.vs)))

@@ -25,7 +25,7 @@ import os
 import signal
 import sys
 
-from .graphs import CertificationError, Graph, _int, build_cycle
+from .graphs import CertificationError, Graph, build_cycle
 from .labelings import EdgeLabeling, check_two_color_necessary, induced_coloring
 from .serialize import read_document, write_document, write_dot, write_json
 
@@ -76,19 +76,14 @@ def _cmd_label(args) -> int:
         from .circulants import CirculantSpec, circulant_labeling
         g, f = circulant_labeling(CirculantSpec(args.m, args.steps))
     else:
-        from .unions import (
-            UnionSpec,
-            union_2labeling_family1,
-            union_2labeling_family2,
-            union_3labeling,
-        )
+        from .unions import (UnionSpec, union_2labeling_family1, union_2labeling_family2,
+                             union_3labeling)
         if args.family == "union2a":
-            result = union_2labeling_family1(args.r)
+            g, f = union_2labeling_family1(args.r)
         elif args.family == "union2b":
-            result = union_2labeling_family2(args.r)
+            g, f = union_2labeling_family2(args.r)
         else:
-            result = union_3labeling(UnionSpec(args.orders))
-        g, f = result.graph, result.labeling
+            g, f = union_3labeling(UnionSpec(args.orders))
     _emit_document(g, f)
     return 0
 
@@ -105,26 +100,24 @@ def _directive(item):
     from .unions import FuseCycles, KeepCycle, MergeCycle
     try:
         if "keep" in item:
-            return KeepCycle(_int(item["keep"], "cycle index"))
+            return KeepCycle(item["keep"])
         if "fuse" in item:
             first, second = item["fuse"]
-            return FuseCycles(_int(first, "cycle index"), _int(second, "cycle index"),
-                              _int(item["step"], "step"))
+            return FuseCycles(first, second, item["step"])
         if "merge" in item:
-            return MergeCycle(_int(item["merge"], "cycle index"),
-                              case_plan(_int(item["case"], "case"), _int(item["k"], "k")))
+            return MergeCycle(item["merge"], case_plan(item["case"], item["k"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed directive {item!r}: {exc!r}") from None
     raise ValueError(f"unknown directive {item!r}")
 
 
 def _cmd_transform(args) -> int:
-    from .cycle_merge import build_construction_matrix, case_plan, transform_cycle
+    from .cycle_merge import build_construction_matrix, case_plan, family_colors, transform_cycle
     if args.kind == "case":
         plan = case_plan(args.case, args.k)
         result = transform_cycle(plan.n, plan)
-        _emit_document(result.graph, result.labeling, family=result.family,
-                       expected_colors=sorted(result.expected_colors))
+        _emit_document(result.graph, result.labeling, family=family_colors(plan.n)[0],
+                       expected_colors=sorted(result.coloring.colors))
         return 0
     if args.kind == "matrix":
         built = build_construction_matrix(args.s, args.t)
@@ -151,8 +144,8 @@ def _cmd_transform(args) -> int:
         # is not local antimagic is a failed check, not a library bug.
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    _emit_document(result.graph, result.labeling, colors=sorted(result.colors),
-                   central_sum=result.central_sum)
+    _emit_document(result.graph, result.labeling, colors=sorted(result.coloring.colors),
+                   central_sum=result.coloring.sums[0])
     return 0
 
 

@@ -10,6 +10,8 @@ residue family.
 The construction matrix folds the labeled cycle along two arrays: each
 row of the even array and each column of the odd array merges into one
 vertex, and cycle edge j keeps its label in the cell holding its ends.
+
+Each construction returns a ``Labeled``, the construction matrix with its layout.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .circulants import (
     render_table,
     verify_vertex_map,
 )
-from .labelings import EdgeLabeling, certify
+from .labelings import EdgeLabeling, Labeled, certify
 
 
 class MergePlan(Record):
@@ -149,7 +151,7 @@ def case_plan(case: int, k: int) -> MergePlan:
     7-8 merge a triple into one degree-6 vertex.  Every block is a sorted
     int tuple, so the plan takes no per-block conversion.
     """
-    k = _int(k, "k")
+    case, k = _int(case, "case"), _int(k, "k")
     if k < 2:
         raise ValueError(f"case plans require k >= 2, got {k}")
     a_blocks: list[tuple[int, ...]]
@@ -224,16 +226,10 @@ def _merged_cycle(plan: MergePlan) -> Graph:
     return Graph._from_ends(*_merged_part(_cycle_part(plan.n), plan))
 
 
-class CycleTransformResult(Record):
-    """The merged graph, the labeling it carries, its residue family and
-    that family's three sums."""
-
-    _fields = ("graph", "labeling", "family", "expected_colors")
-
-
-def transform_cycle(n: int, plan: MergePlan) -> CycleTransformResult:
+def transform_cycle(n: int, plan: MergePlan) -> Labeled:
     """Apply the canonical labeling to C_n, merge per the plan, and verify
-    that the induced sums are exactly the family's three values.
+    that the induced sums are exactly the family's three values
+    (``family_colors(n)``).
 
     A mismatch means the plan is not one of the sum-preserving shapes and
     is reported as a hard error rather than returned silently.
@@ -243,8 +239,8 @@ def transform_cycle(n: int, plan: MergePlan) -> CycleTransformResult:
     labeling = c_labeling(n)
     merged = _merged_cycle(plan)
     family, expected = family_colors(n)
-    certify(f"merge of C_{n} ({family} profile)", merged, labeling, expected)
-    return CycleTransformResult(merged, labeling, family, expected)
+    return Labeled(merged, labeling,
+                   certify(f"merge of C_{n} ({family} profile)", merged, labeling, expected))
 
 
 def verify_case1_circulant(k: int) -> list[int]:
@@ -291,6 +287,7 @@ class EvenOddArrays(Record):
 def build_even_odd_arrays(s: int, t: int) -> EvenOddArrays:
     """Assemble the even and odd arrays by the quartered block recursion
     with offsets 2^{2i-2}(2t+4) * {0, 1, 2, 3}."""
+    s, t = _int(s, "s"), _int(t, "t")
     if s < 2 or t < 0:
         raise ValueError("requires s >= 2 and t >= 0")
     a = [[p] for p in range(0, 2 * t + 3, 2)]
@@ -318,9 +315,9 @@ def construction_steps(s: int, t: int) -> tuple[int, ...]:
     return tuple(sorted(steps))
 
 
-class ConstructionMatrix(Record):
+class ConstructionMatrix(Labeled):
     """Label matrix of the iterated construction, together with the
-    certified circulant it realizes and its induced sums.
+    certified circulant it realizes: a ``Labeled`` with its layout.
 
     Rows index the merged even groups (vertices u_0, u_2, ...), columns
     the merged odd groups (u_1, u_3, ...); ``labels[x][y]`` is a label or
@@ -328,7 +325,7 @@ class ConstructionMatrix(Record):
     vertices; column sums those of the odd vertices.
     """
 
-    _fields = ("s", "t", "n", "arrays", "labels", "spec", "graph", "labeling", "sums")
+    _fields = ("s", "t", "n", "arrays", "labels", "spec", "graph", "labeling", "coloring")
 
     @property
     def pattern(self) -> tuple[tuple[int, ...], ...]:
@@ -337,11 +334,11 @@ class ConstructionMatrix(Record):
 
     @property
     def row_sums(self) -> tuple[int, ...]:
-        return self.sums[::2]
+        return self.coloring.sums[::2]
 
     @property
     def col_sums(self) -> tuple[int, ...]:
-        return self.sums[1::2]
+        return self.coloring.sums[1::2]
 
     def render(self) -> str:
         """Text table in the layout of the label matrices elsewhere in
@@ -370,6 +367,7 @@ def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
     row holds its even end and whose column holds its odd end, and keeps
     its label from ``c_labeling(n)``.
     """
+    s, t = _int(s, "s"), _int(t, "t")
     arrays = build_even_odd_arrays(s, t)
     n = 2 ** (2 * s - 1) * (t + 2)
     size = 2 ** (s - 1) * (t + 2)
@@ -401,7 +399,6 @@ def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
     if not verify_vertex_map(graph, build_circulant(spec), [*range(2 * size)]):
         raise CertificationError(f"pattern does not match the adjacency of {spec}")
     regular = 2 ** (s - 1) * (n + 2)
-    sums = {regular - n // 2, regular, 2 ** (s - 1) * (n + 1)}
-    coloring = certify(f"construction labeling of {spec}", graph, labeling, frozenset(sums))
-    return ConstructionMatrix(s, t, n, arrays, tuple(map(tuple, labels)), spec, graph,
-                              labeling, coloring.sums)
+    sums = frozenset({regular - n // 2, regular, 2 ** (s - 1) * (n + 1)})
+    return ConstructionMatrix(s, t, n, arrays, tuple(map(tuple, labels)), spec, graph, labeling,
+                              certify(f"construction labeling of {spec}", graph, labeling, sums))

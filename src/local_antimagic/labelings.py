@@ -4,7 +4,8 @@ A labeling assigns the integers 1..q bijectively to the q edges of a
 graph.  The induced sum of a vertex is the total of the labels on its
 incident edges (each parallel edge counted); a labeling is local
 antimagic when no two adjacent vertices share an induced sum.  Endpoints
-of parallel edges count as adjacent.
+of parallel edges count as adjacent.  Every constructor returns a
+``Labeled``, which keeps the coloring ``certify`` found.
 """
 
 from __future__ import annotations
@@ -52,6 +53,16 @@ class InducedColoring(Record):
         for v, s in enumerate(self.sums):
             by_sum.setdefault(s, []).append(v)
         return by_sum
+
+
+class Labeled(Record):
+    """A certified construction: its graph, its labeling and the coloring
+    ``certify`` returned, the one source of its sums.  Unpacks as (graph, labeling)."""
+
+    _fields = ("graph", "labeling", "coloring")
+
+    def __iter__(self):
+        return iter((self.graph, self.labeling))
 
 
 def validate_labeling(g: Graph, f: EdgeLabeling) -> None:

@@ -13,11 +13,7 @@ from __future__ import annotations
 import math
 
 from .graphs import Graph, Record, build_cycle
-from .labelings import (
-    check_two_color_necessary,
-    color_count,
-    induced_coloring,
-)
+from .labelings import check_two_color_necessary, color_count
 from .circulants import (
     CirculantSpec,
     c_labeling,
@@ -71,11 +67,8 @@ def claim_circulant_colors():
         coprime = [a for a in range(1, half) if math.gcd(a, m) == 1]
         for t in range(min(3, len(coprime))):
             steps = tuple(coprime[: t + 1])
-            graph, labeling = circulant_labeling(CirculantSpec(m, steps))
-            coloring = induced_coloring(graph, labeling)
-            _check(
-                coloring.colors == circulant_colors(m // 2, t), f"C_{m}{steps} sums"
-            )
+            coloring = circulant_labeling(CirculantSpec(m, steps)).coloring
+            _check(coloring.colors == circulant_colors(m // 2, t), f"C_{m}{steps} sums")
 
 
 def claim_c16_pair():
@@ -114,25 +107,15 @@ def claim_construction_matrices():
 
 def claim_union_families():
     for r in (9, 13):
-        result = union_2labeling_family1(r)
-        _check(
-            result.colors == frozenset({4 * r * r - 4 * r + 1, 4 * r * r - 2 * r}),
-            f"family 1, r={r}",
-        )
+        colors = union_2labeling_family1(r).coloring.colors
+        _check(colors == frozenset({4 * r * r - 4 * r + 1, 4 * r * r - 2 * r}), f"family 1, r={r}")
     for r in (9, 17):
-        result = union_2labeling_family2(r)
-        _check(
-            result.colors == frozenset({2 * r * r - r, 2 * r * r + r}),
-            f"family 2, r={r}",
-        )
+        colors = union_2labeling_family2(r).coloring.colors
+        _check(colors == frozenset({2 * r * r - r, 2 * r * r + r}), f"family 2, r={r}")
     for orders in ((16, 16), (16, 20), (20, 20, 24)):
         spec = UnionSpec(orders)
-        result = union_3labeling(spec)
-        m = spec.m
-        _check(
-            result.colors == frozenset({m, m + 1, spec.r * m + m // 2}),
-            f"3-sum union {orders}",
-        )
+        colors, m = union_3labeling(spec).coloring.colors, spec.m
+        _check(colors == frozenset({m, m + 1, spec.r * m + m // 2}), f"3-sum union {orders}")
 
 
 def claim_transform_union():
@@ -140,8 +123,8 @@ def claim_transform_union():
     labeled = union_2labeling_family1(r)
     directives = [FuseCycles(2 * i, 2 * i + 1, 3) for i in range(4)]
     directives.append(MergeCycle(8, case_plan(1, 2)))
-    result = transform_union(labeled.spec, labeled.labeling, directives)
-    _check(result.colors == frozenset({578, 612}), f"colors {sorted(result.colors)}")
+    colors = transform_union(labeled.spec, labeled.labeling, directives).coloring.colors
+    _check(colors == frozenset({578, 612}), f"colors {sorted(colors)}")
 
 
 def claim_small_oracle():

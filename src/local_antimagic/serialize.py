@@ -413,8 +413,9 @@ def write_dot(fp: TextIOBase, g: Graph, f: EdgeLabeling | None = None) -> None:
 
 def _dot_parts(g: Graph, f: EdgeLabeling | None) -> Iterator[str]:
     """The DOT text in slices of lines, rendered from the columns, trivial
-    names from n."""
-    names = range(g.n) if g._names is None else [*map(",".join, g.provenance)]
+    names from n; a ``\\`` or ``"`` in a name is escaped."""
+    names = range(g.n) if g._names is None else [
+        name.replace("\\", "\\\\").replace('"', '\\"') for name in map(",".join, g.provenance)]
     vertices, edges, ends = [range(g.n), names], [g.us, g.vs], ('"];', ";")
     if f is not None:
         vertices.append(induced_coloring(g, f).sums)

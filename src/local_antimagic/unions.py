@@ -5,6 +5,8 @@ constituent cycles while keeping the label assignment.
 All labelings here are indexed globally: the edges of the i-th cycle
 occupy consecutive positions, with the first and last edge of each cycle
 incident to the shared central vertex, as ``one_point_union`` lays them.
+Each labeling and the transform return a ``Labeled``, whose coloring
+gives the central sum as ``coloring.sums[0]``.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from .graphs import (
     Graph,
     Record,
     _cycle_part,
+    _int,
     _ints,
     _part,
     _provenance,
 )
-from .labelings import EdgeLabeling, certify, validate_labeling
+from .labelings import EdgeLabeling, Labeled, certify, validate_labeling
 
 
 class UnionSpec(Record):
@@ -92,10 +95,10 @@ def union_graph(spec: UnionSpec) -> Graph:
     return _union([_cycle_part(a) for a in spec.orders], [0] * spec.r)
 
 
-class UnionLabelingResult(Record):
-    """A labeled union, its distinct sums and the sum at its central vertex."""
+class UnionLabelingResult(Labeled):
+    """A labeled union with its spec."""
 
-    _fields = ("spec", "graph", "labeling", "colors", "central_sum")
+    _fields = ("spec", "graph", "labeling", "coloring")
 
 
 def _finish(spec: UnionSpec, labels: list[int],
@@ -106,7 +109,7 @@ def _finish(spec: UnionSpec, labels: list[int],
     coloring = certify(what, graph, labeling, expected)
     if coloring.sums[0] != central:
         raise CertificationError(f"{what}: central sum {coloring.sums[0]}, expected {central}")
-    return UnionLabelingResult(spec, graph, labeling, coloring.colors, central)
+    return UnionLabelingResult(spec, graph, labeling, coloring)
 
 
 def family1_spec(r: int) -> UnionSpec:
@@ -137,6 +140,7 @@ def _interleaved(evens: range, odds: range) -> list[int]:
 
 def union_2labeling_family1(r: int) -> UnionLabelingResult:
     """2-color labeling of the family-1 union, sums 4r^2-4r+1 and 4r^2-2r."""
+    r = _int(r, "r")
     spec = family1_spec(r)
     labels = [*chain.from_iterable(family1_sequences(r))]
     low, high = 4 * r * r - 4 * r + 1, 4 * r * r - 2 * r
@@ -163,6 +167,7 @@ def family2_sequences(r: int) -> list[list[int]]:
 
 def union_2labeling_family2(r: int) -> UnionLabelingResult:
     """2-color labeling of the family-2 union, sums 2r^2-r and 2r^2+r."""
+    r = _int(r, "r")
     spec = family2_spec(r)
     labels = [*chain.from_iterable(family2_sequences(r))]
     low, high = 2 * r * r - r, 2 * r * r + r
@@ -185,9 +190,13 @@ def union_3labeling(spec: UnionSpec) -> UnionLabelingResult:
 
 
 class KeepCycle(Record):
-    """Leave one cycle of the union untouched."""
+    """Leave one cycle of the union untouched.  Directives convert their
+    ints by ``_int``."""
 
     _fields = ("cycle",)
+
+    def __init__(self, cycle: int):
+        super().__init__(_int(cycle, "cycle index"))
 
 
 class FuseCycles(Record):
@@ -197,6 +206,10 @@ class FuseCycles(Record):
 
     _fields = ("first", "second", "step")
 
+    def __init__(self, first: int, second: int, step: int):
+        super().__init__(_int(first, "cycle index"), _int(second, "cycle index"),
+                         _int(step, "step"))
+
 
 class MergeCycle(Record):
     """Collapse one cycle by a vertex merge plan (a ``MergePlan``) of
@@ -204,20 +217,16 @@ class MergeCycle(Record):
 
     _fields = ("cycle", "plan")
 
+    def __init__(self, cycle: int, plan):
+        super().__init__(_int(cycle, "cycle index"), plan)
+
 
 Directive = KeepCycle | FuseCycles | MergeCycle
 
 
-class UnionTransformResult(Record):
-    """The rebuilt union, its labeling, its distinct sums and the sum at
-    its central vertex."""
-
-    _fields = ("graph", "labeling", "colors", "central_sum")
-
-
 def transform_union(
     spec: UnionSpec, labeling: EdgeLabeling, directives: list[Directive]
-) -> UnionTransformResult:
+) -> Labeled:
     """Rebuild a labeled union with some cycles fused into circulants or
     collapsed by merge plans, reattached at the old central vertex.
 
@@ -227,17 +236,15 @@ def transform_union(
     The result is verified to be local antimagic before returning.
     """
     from .circulants import CirculantSpec, _circulant_part
-    from .cycle_merge import _merged_part
+    from .cycle_merge import MergePlan, _merged_part
     if len(labeling) != spec.m:
         raise ValueError("labeling does not match the union's edge count")
     starts = [0] + list(accumulate(spec.orders))
-    slices = [
-        list(labeling.labels[starts[i] : starts[i + 1]]) for i in range(spec.r)
-    ]
+    slices = [labeling.labels[a:b] for a, b in zip(starts, starts[1:])]
 
     consumed: set[int] = set()
 
-    def take(cycle: int) -> list[int]:
+    def take(cycle: int) -> tuple[int, ...]:
         if not 0 <= cycle < spec.r:
             raise ValueError(f"cycle index {cycle} out of range")
         if cycle in consumed:
@@ -262,6 +269,8 @@ def transform_union(
                 raise ValueError("fused cycles must have equal order")
             parts.append(_circulant_part(CirculantSpec(n, (1, d.step))))
         elif isinstance(d, MergeCycle):
+            if not isinstance(d.plan, MergePlan):
+                raise ValueError(f"merge plan {d.plan!r} is not a MergePlan")
             labels.extend(take(d.cycle))
             parts.append(_merged_part(_cycle_part(spec.orders[d.cycle]), d.plan))
         else:
@@ -279,6 +288,4 @@ def transform_union(
         # that are no bijection are an input error, not a certification bug.
         validate_labeling(graph, new_labeling)
         raise
-    return UnionTransformResult(
-        graph, new_labeling, coloring.colors, coloring.sums[0]
-    )
+    return Labeled(graph, new_labeling, coloring)

@@ -175,11 +175,11 @@ def test_criterion_08_union_families():
     def run():
         for r in (9, 13):
             result = union_2labeling_family1(r)
-            assert result.central_sum == 4 * r * r - 2 * r
+            assert result.coloring.sums[0] == 4 * r * r - 2 * r
             assert_two_color_identity(result.graph, result.labeling)
         for r in (9, 17):
             result = union_2labeling_family2(r)
-            assert result.central_sum == 2 * r * r + r
+            assert result.coloring.sums[0] == 2 * r * r + r
             assert_two_color_identity(result.graph, result.labeling)
 
         shapes = (
@@ -198,7 +198,7 @@ def test_criterion_08_union_families():
                 result.labeling,
                 [MergeCycle(i, case_plan(c, k)) for i, (c, k) in enumerate(plans)],
             )
-            assert len(merged.colors) == 3
+            assert len(merged.coloring.colors) == 3
             verdict = check_two_color_necessary(merged.graph)
             total = math.comb(merged.graph.q + 1, 2)
             assert verdict.bipartite and any(total % size for size in verdict.part_sizes)

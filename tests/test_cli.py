@@ -551,8 +551,11 @@ def test_unreadable_input_file_exits_2(capsys, tmp_path):
         ("5", "directives must be a JSON list, not 5"),
         ("[1]", "malformed directive 1: TypeError"),
         ('[{"keep":"x"}]', "malformed directive {'keep': 'x'}: ValueError"),
+        ('[{"keep":1.0}]',
+         "malformed directive {'keep': 1.0}: ValueError('cycle index 1.0 is not an int')"),
     ],
-    ids=["fuse-without-step", "not-a-list", "not-an-object", "index-not-an-int"],
+    ids=["fuse-without-step", "not-a-list", "not-an-object", "index-not-an-int",
+         "index-a-float"],
 )
 def test_malformed_directives_exit_2(capsys, monkeypatch, directives, message):
     doc = document(union_graph(UnionSpec((3, 3))), EdgeLabeling((1, 2, 3, 4, 5, 6)))
@@ -833,12 +836,13 @@ def test_every_public_option_is_listed():
         "BudgetExceeded(message, nodes)",
         "CertificationError(*args)",
         "CirculantSpec(m, steps)",
-        "ConstructionMatrix(s, t, n, arrays, labels, spec, graph, labeling, sums)",
+        "ConstructionMatrix(s, t, n, arrays, labels, spec, graph, labeling, coloring)",
         "EdgeLabeling(labels)",
         "FuseCycles(first, second, step)",
         "Graph(n, us, vs, provenance)",
         "InducedColoring(sums, colors, conflicts)",
         "KeepCycle(cycle)",
+        "Labeled(graph, labeling, coloring)",
         "MergeCycle(cycle, plan)",
         "MergePlan(n, blocks, kinds)",
         "OracleResult(value, witness, nodes, seconds, bounds, searches)",
@@ -906,8 +910,8 @@ def test_every_public_name_resolves_and_is_listed():
     # The public names are a contract: a change to it shows here.
     assert local_antimagic.__all__ == [
         "BudgetExceeded", "CertificationError", "CirculantSpec", "ConstructionMatrix",
-        "EdgeLabeling", "FuseCycles", "Graph", "InducedColoring", "KeepCycle", "MergeCycle",
-        "MergePlan", "OracleResult", "SearchBudget", "TwoColorVerdict", "UnionSpec",
+        "EdgeLabeling", "FuseCycles", "Graph", "InducedColoring", "KeepCycle", "Labeled",
+        "MergeCycle", "MergePlan", "OracleResult", "SearchBudget", "TwoColorVerdict", "UnionSpec",
         "are_isomorphic", "build_circulant", "build_construction_matrix", "build_cycle",
         "build_even_odd_arrays", "c_labeling", "c_labeling_sums", "case_plan",
         "certify_multiplier", "check_two_color_necessary", "chromatic_number",

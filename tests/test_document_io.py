@@ -358,6 +358,23 @@ def test_dot_export_reads_the_columns_and_trivial_names():
     assert "edges" not in vars(g) and "provenance" not in vars(g)
 
 
+def test_dot_export_escapes_quotes_and_backslashes_in_names(capsys, monkeypatch):
+    # A quote in a name once ended the DOT string early, and a trailing
+    # backslash turned the \n between name and sum into text.
+    doc = {"graph": {"n": 3, "edges": [[0, 1], [1, 2]],
+                     "provenance": [['a"b'], ["d\\"], ["e", "f"]]}, "labels": [1, 2]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["export", "dot"]) == 0
+    assert capsys.readouterr().out == r'''graph {
+  0 [label="va\"b\n1"];
+  1 [label="vd\\\n3"];
+  2 [label="ve,f\n2"];
+  0 -- 1 [label="1"];
+  1 -- 2 [label="2"];
+}
+'''
+
+
 # sha256 of `export dot` of each producer's document, recorded before DOT
 # export rendered its lines from the end columns.
 PINNED_DOT = {

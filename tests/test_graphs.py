@@ -18,6 +18,7 @@ from local_antimagic import (
     CirculantSpec,
     FuseCycles,
     Graph,
+    KeepCycle,
     MergeCycle,
     MergePlan,
     UnionSpec,
@@ -25,12 +26,14 @@ from local_antimagic import (
     build_circulant,
     build_construction_matrix,
     build_cycle,
+    build_even_odd_arrays,
     c_labeling,
     case_plan,
     check_two_color_necessary,
     circulant_labeling,
     induced_coloring,
     merge_vertices,
+    multiplier_isomorphism,
     one_point_union,
     transform_cycle,
     transform_union,
@@ -96,6 +99,42 @@ def test_counts_are_ints_by_index(build, count, what, read):
     for good in (np.int64(count), np.int32(count)):
         assert read(build(good)) == count and type(read(build(good))) is int
     for bad in (float(count), True, str(count)):
+        with pytest.raises(ValueError) as info:
+            build(bad)
+        assert str(info.value) == f"{what} {bad!r} is not an int"
+
+
+# Every other int that enters a public entry point, by the same rule.  Each
+# of these once took True as 1 or raised a raw TypeError on a float or a str.
+ENTRY_INTS = [
+    (KeepCycle, 1, "cycle index"),
+    (lambda x: FuseCycles(x, 1, 3), 0, "cycle index"),
+    (lambda x: FuseCycles(0, x, 3), 1, "cycle index"),
+    (lambda x: FuseCycles(0, 1, x), 3, "step"),
+    (lambda x: MergeCycle(x, case_plan(1, 2)), 2, "cycle index"),
+    (lambda s: build_construction_matrix(s, 0), 2, "s"),
+    (lambda t: build_construction_matrix(2, t), 1, "t"),
+    (lambda s: build_even_odd_arrays(s, 1), 3, "s"),
+    (lambda t: build_even_odd_arrays(3, t), 1, "t"),
+    (lambda case: case_plan(case, 2), 1, "case"),
+    (union_2labeling_family1, 3, "r"),
+    (union_2labeling_family2, 5, "r"),
+    (lambda n: multiplier_isomorphism(n, 3, 11), 16, "modulus"),
+    (lambda a: multiplier_isomorphism(16, a, 11), 3, "step"),
+    (lambda b: multiplier_isomorphism(16, 3, b), 11, "multiplier"),
+]
+
+
+@pytest.mark.parametrize("build,good,what", ENTRY_INTS, ids=[
+    "KeepCycle", "FuseCycles-first", "FuseCycles-second", "FuseCycles-step", "MergeCycle",
+    "build_construction_matrix-s", "build_construction_matrix-t", "build_even_odd_arrays-s",
+    "build_even_odd_arrays-t", "case_plan-case", "union_2labeling_family1",
+    "union_2labeling_family2", "multiplier_isomorphism-n", "multiplier_isomorphism-a",
+    "multiplier_isomorphism-b"])
+def test_entry_point_ints_are_ints_by_index(build, good, what):
+    # The repr shows a numpy int that was kept instead of converted.
+    assert repr(build(np.int64(good))) == repr(build(good))
+    for bad in (float(good), True, str(good)):
         with pytest.raises(ValueError) as info:
             build(bad)
         assert str(info.value) == f"{what} {bad!r} is not an int"
@@ -410,6 +449,15 @@ def test_isomorphism_negative():
     # Same degree sequence, different structure: C_6 vs two triangles.
     two_triangles = Graph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
     assert are_isomorphic(build_cycle(6), two_triangles) is None
+
+
+def test_a_vertex_map_between_graphs_of_unequal_order_is_refused():
+    # Both directions once passed: the isolated vertex has no edge to map.
+    small, large = Graph(2, ((0, 1),)), Graph(3, ((0, 1),))
+    assert are_isomorphic(small, large) is None and are_isomorphic(large, small) is None
+    assert not verify_vertex_map(small, large, [0, 1, 2])
+    assert not verify_vertex_map(large, small, [0, 1])
+    assert verify_vertex_map(large, large, [0, 1, 2])
 
 
 def test_isomorphism_with_multiplicities():
@@ -733,7 +781,7 @@ def built_graphs():
     plan = case_plan(3, 2)
     return {
         "build_cycle": build_cycle(12),
-        "circulant_labeling": circulant_labeling(CirculantSpec(16, (1, 3)))[0],
+        "circulant_labeling": circulant_labeling(CirculantSpec(16, (1, 3))).graph,
         "transform_cycle": transform_cycle(plan.n, plan).graph,
         "union_3labeling": union_3labeling(UnionSpec((16, 20))).graph,
         "transform_union": transform_union(labeled.spec, labeled.labeling, directives).graph,
@@ -755,9 +803,7 @@ def test_constructions_and_their_check_build_no_edge_pairs():
         transform_union(labeled.spec, labeled.labeling, directives),
         build_construction_matrix(3, 1),
     ]
-    built = [(build_cycle(12), c_labeling(12)), results[0]]
-    built += [(res.graph, res.labeling) for res in results[1:]]
-    for g, f in built:
+    for g, f in [(build_cycle(12), c_labeling(12)), *results]:
         induced_coloring(g, f)
         assert "edges" not in vars(g), g.n
     merged = merge_vertices(build_cycle(plan.n), plan)

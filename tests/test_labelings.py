@@ -102,7 +102,7 @@ def test_nonreg_conditions_guarantee_complement():
     g, f = result.graph, result.labeling
     # Not regular: the sums and degrees meet the conditions under which
     # q+1-f stays local antimagic with as many sums.
-    assert len(certify("complement", g, complement(g, f)).colors) == len(result.expected_colors)
+    assert len(certify("complement", g, complement(g, f)).colors) == len(result.coloring.colors)
 
 
 def test_edge_deletion_lemma_on_cycle():

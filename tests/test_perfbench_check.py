@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+import local_antimagic as la
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import check  # noqa: E402
@@ -33,6 +35,29 @@ def test_one_cell_per_family():
 def test_construction_passes_the_benchmark_checker(req):
     g, f = workloads.construct(req, Tracer(False))
     check.check_construction(req, g.n, g.edges, f.labels)
+
+
+class LastResult(Tracer):
+    """A tracer that keeps what its last call returned: in ``construct``,
+    the constructor's own result."""
+
+    def call(self, name, fn, *args, edges=None):
+        self.last = super().call(name, fn, *args, edges=edges)
+        return self.last
+
+
+@pytest.mark.parametrize("req", [req for req in CELLS if req["family"] != "c"],
+                         ids=lambda req: req["cell"])
+def test_every_constructor_returns_its_certified_coloring(req):
+    tracer = LastResult(False)
+    workloads.construct(req, tracer)
+    result = tracer.last
+    assert isinstance(result, la.Labeled)
+    assert result.coloring is la.induced_coloring(result.graph, result.labeling)
+    fresh = la.EdgeLabeling(tuple(list(result.labeling.labels)))
+    assert result.coloring == la.induced_coloring(result.graph, fresh)
+    g, f = result
+    assert g is result.graph and f is result.labeling
 
 
 # sha256 over (n, edges, provenance, labels) of every construct-verify cell

@@ -18,6 +18,8 @@ BOUNDS = oracle.Bounds(3, "chromatic number", 3, "cycle labeling C_3")
 G3_REPR = "Graph(n=3, edges=((0, 1), (1, 2), (2, 0)))"
 F3_REPR = "EdgeLabeling(labels=(1, 2, 3))"
 PLAN_REPR = "MergePlan(n=4, blocks=((0, 2), (1, 3)), kinds=('A', 'B'))"
+C3 = la.InducedColoring((3, 4, 5), frozenset({3, 4, 5}), ())
+C3_REPR = "InducedColoring(sums=(3, 4, 5), colors=frozenset({3, 4, 5}), conflicts=())"
 
 # Each record type with its fields, by keyword, and the repr its frozen
 # dataclass gave.
@@ -27,38 +29,31 @@ RECORDS = [
     (la.MergePlan, dict(n=4, blocks=((0, 2), (1, 3)), kinds=("A", "B")), PLAN_REPR),
     (la.EdgeLabeling, dict(labels=(1, 2, 3)), F3_REPR),
     (la.InducedColoring, dict(sums=(3, 4, 5), colors=frozenset({3, 4, 5}), conflicts=()),
-     "InducedColoring(sums=(3, 4, 5), colors=frozenset({3, 4, 5}), conflicts=())"),
+     C3_REPR),
+    (la.Labeled, dict(graph=G3, labeling=F3, coloring=C3),
+     f"Labeled(graph={G3_REPR}, labeling={F3_REPR}, coloring={C3_REPR})"),
     (la.TwoColorVerdict,
      dict(bipartite=True, part_sizes=(2, 2), pendant_count=0, two_colors_possible=False),
      "TwoColorVerdict(bipartite=True, part_sizes=(2, 2), pendant_count=0, "
      "two_colors_possible=False)"),
     (circulants.LabelingMatrixView, dict(entries=((None, 1), (1, None)), row_sums=(1, 1)),
      "LabelingMatrixView(entries=((None, 1), (1, None)), row_sums=(1, 1))"),
-    (cycle_merge.CycleTransformResult,
-     dict(graph=G3, labeling=F3, family="4m+3", expected_colors=frozenset({3, 4, 5})),
-     f"CycleTransformResult(graph={G3_REPR}, labeling={F3_REPR}, family='4m+3', "
-     "expected_colors=frozenset({3, 4, 5}))"),
     (cycle_merge.EvenOddArrays, dict(evens=((0,), (2,)), odds=((1, 3),)),
      "EvenOddArrays(evens=((0,), (2,)), odds=((1, 3),))"),
     (la.ConstructionMatrix,
      dict(s=2, t=0, n=4, arrays=ARRAYS, labels=((1, 2), (None, 3)),
-          spec=la.CirculantSpec(8, (1, 3)), graph=G3, labeling=F3, sums=(3, 4, 5)),
+          spec=la.CirculantSpec(8, (1, 3)), graph=G3, labeling=F3, coloring=C3),
      "ConstructionMatrix(s=2, t=0, n=4, arrays=EvenOddArrays(evens=((0,), (2,)), "
      "odds=((1, 3),)), labels=((1, 2), (None, 3)), spec=CirculantSpec(m=8, steps=(1, 3)), "
-     f"graph={G3_REPR}, labeling={F3_REPR}, sums=(3, 4, 5))"),
+     f"graph={G3_REPR}, labeling={F3_REPR}, coloring={C3_REPR})"),
     (la.UnionSpec, dict(orders=(3, 4)), "UnionSpec(orders=(3, 4))"),
     (unions.UnionLabelingResult,
-     dict(spec=la.UnionSpec((3, 4)), graph=G3, labeling=F3, colors=frozenset({5}),
-          central_sum=5),
+     dict(spec=la.UnionSpec((3, 4)), graph=G3, labeling=F3, coloring=C3),
      f"UnionLabelingResult(spec=UnionSpec(orders=(3, 4)), graph={G3_REPR}, "
-     f"labeling={F3_REPR}, colors=frozenset({{5}}), central_sum=5)"),
+     f"labeling={F3_REPR}, coloring={C3_REPR})"),
     (la.KeepCycle, dict(cycle=1), "KeepCycle(cycle=1)"),
     (la.FuseCycles, dict(first=0, second=1, step=3), "FuseCycles(first=0, second=1, step=3)"),
     (la.MergeCycle, dict(cycle=2, plan=PLAN), f"MergeCycle(cycle=2, plan={PLAN_REPR})"),
-    (unions.UnionTransformResult,
-     dict(graph=G3, labeling=F3, colors=frozenset({5}), central_sum=5),
-     f"UnionTransformResult(graph={G3_REPR}, labeling={F3_REPR}, colors=frozenset({{5}}), "
-     "central_sum=5)"),
     (oracle.Bounds,
      dict(lower=2, lower_source="pendants", upper=3, upper_source="search witness"),
      "Bounds(lower=2, lower_source='pendants', upper=3, upper_source='search witness')"),

@@ -57,8 +57,8 @@ def test_union_orders_are_ints_by_index():
 def test_family1_two_colors(r):
     result = union_2labeling_family1(r)
     low, high = 4 * r * r - 4 * r + 1, 4 * r * r - 2 * r
-    assert result.colors == frozenset({low, high})
-    assert result.central_sum == high
+    assert result.coloring.colors == frozenset({low, high})
+    assert result.coloring.sums[0] == high
     assert_two_color_identity(result.graph, result.labeling)
 
 
@@ -77,8 +77,8 @@ def test_family1_sequence_endpoints():
 def test_family2_two_colors(r):
     result = union_2labeling_family2(r)
     low, high = 2 * r * r - r, 2 * r * r + r
-    assert result.colors == frozenset({low, high})
-    assert result.central_sum == high
+    assert result.coloring.colors == frozenset({low, high})
+    assert result.coloring.sums[0] == high
     assert_two_color_identity(result.graph, result.labeling)
 
 
@@ -104,7 +104,7 @@ def test_union_3labeling(orders):
     spec = UnionSpec(orders)
     result = union_3labeling(spec)
     m = spec.m
-    assert result.colors == frozenset({m, m + 1, spec.r * m + m // 2})
+    assert result.coloring.colors == frozenset({m, m + 1, spec.r * m + m // 2})
     sums = induced_coloring(result.graph, result.labeling).sums
     assert set(sums[1:]) == {m, m + 1}
 
@@ -121,8 +121,8 @@ def test_transform_union_family1_r9():
     directives = [FuseCycles(2 * i, 2 * i + 1, 3) for i in range(4)]
     directives.append(MergeCycle(8, case_plan(1, 2)))
     result = transform_union(labeled.spec, labeled.labeling, directives)
-    assert result.colors == frozenset({578, 612})
-    assert result.central_sum == 612
+    assert result.coloring.colors == frozenset({578, 612})
+    assert result.coloring.sums[0] == 612
     assert result.graph.degrees[0] == 4 * 2 * 2 + 4
 
 
@@ -136,14 +136,14 @@ def test_transform_union_fuse_step_choice_is_free():
         MergeCycle(8, case_plan(1, 2)),
     ]
     result = transform_union(labeled.spec, labeled.labeling, directives)
-    assert result.colors == frozenset({578, 612})
+    assert result.coloring.colors == frozenset({578, 612})
 
 
 def test_transform_union_keep_passthrough():
     labeled = union_2labeling_family1(5)
     directives = [KeepCycle(i) for i in range(5)]
     result = transform_union(labeled.spec, labeled.labeling, directives)
-    assert result.colors == labeled.colors
+    assert result.coloring.colors == labeled.coloring.colors
     g, h = result.graph, labeled.graph
     assert sorted_edge_keys(g.n, g.edges) == sorted_edge_keys(h.n, h.edges)
 
@@ -176,7 +176,7 @@ def test_transform_union_3labeled_shapes_force_three_colors(orders, plans):
     ]
     result = transform_union(spec, labeled.labeling, directives)
     m = spec.m
-    assert result.colors == frozenset({2 * m, 2 * m + 2, result.central_sum})
+    assert result.coloring.colors == frozenset({2 * m, 2 * m + 2, result.coloring.sums[0]})
     verdict = check_two_color_necessary(result.graph)
     total = math.comb(result.graph.q + 1, 2)
     assert verdict.bipartite and any(total % size for size in verdict.part_sizes)
@@ -215,3 +215,5 @@ def test_transform_union_consumption_checks():
         transform_union(spec, f, [*keep, KeepCycle(spec.r)])
     with pytest.raises(TypeError, match="^unknown directive 'keep'$"):
         transform_union(spec, f, [*keep[1:], "keep"])
+    with pytest.raises(ValueError, match="^merge plan 'plan' is not a MergePlan$"):
+        transform_union(spec, f, [*keep[1:], MergeCycle(0, "plan")])
