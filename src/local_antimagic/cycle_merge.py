@@ -16,7 +16,6 @@ Each construction returns a ``Labeled``, the construction matrix with its layout
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain, compress, islice, repeat
 from operator import eq, is_not, itemgetter, lt
 
@@ -24,6 +23,7 @@ from .graphs import (
     CertificationError,
     Graph,
     Record,
+    _columns_of,
     _cycle_part,
     _int,
     _ints,
@@ -116,12 +116,14 @@ def _merged_part(part, plan: MergePlan):
             f"block {sorted(plan.blocks)[rank[u]]} contains adjacent vertices "
             f"{u} and {v}; merging would create a loop"
         )
-    source = partial(_provenance, n, names)
-
     def provenance():
-        prov = source()
-        return tuple(tuple(sorted({p for v in block for p in prov[v]}, key=_prov_key))
-                     for block in sorted(plan.blocks))
+        # Blocks are sorted tuples of distinct ints, so trivial names keep their order.
+        blocks = sorted(plan.blocks)
+        if names is None:
+            return _columns_of(blocks)
+        prov = _provenance(n, names)
+        return _columns_of([sorted({p for v in block for p in prov[v]}, key=_prov_key)
+                            for block in blocks])
 
     return len(plan.blocks), merged_us, merged_vs, provenance
 
@@ -384,9 +386,7 @@ def build_construction_matrix(s: int, t: int) -> ConstructionMatrix:
         raise CertificationError("incidence pattern rows are not cyclic shifts")
 
     def provenance():
-        columns = list(zip(*arrays.odds))
-        return tuple(tuple(map(str, columns[v // 2] if v % 2 else arrays.evens[v // 2]))
-                     for v in range(2 * size))
+        return _columns_of([*chain.from_iterable(zip(arrays.evens, zip(*arrays.odds)))])
 
     # Vertices u_0..u_{2*size-1}: row x is u_{2x}, column y is u_{2y+1}; the
     # edges are the filled cells in row-major order.

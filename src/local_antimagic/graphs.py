@@ -16,7 +16,7 @@ the construction modules.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import eq, index
 
 
@@ -89,7 +89,8 @@ class Graph(Record):
     collapsed into ``v`` (trivial for freshly built graphs).  It exists so
     merged vertices can be displayed with their original subscripts.  It
     is built on first read: a graph stores nothing for the trivial
-    provenance, and a derived graph only the function that builds it.
+    provenance, and otherwise a function that gives the names' columns
+    (see ``_columns``), with no tuple per vertex.
     """
 
     # Equality and hash read these; the repr shows n and the edges.
@@ -116,7 +117,7 @@ class Graph(Record):
 
     def __reduce__(self):
         # Columns as they are, names only when not trivial; a function is not picklable.
-        names = self.provenance if callable(self._names) else self._names or ()
+        names = () if self._names is None else self.provenance
         return Graph._from_ends, (self.n, self.us, self.vs, names)
 
     def __repr__(self):
@@ -244,8 +245,10 @@ def _ints(values, what: str) -> tuple[int, ...]:
 
 def _stored_names(n: int, provenance):
     """What a graph keeps of ``provenance``: None for the trivial one, a
-    function as it is, else the entries as tuples of strs.  An entry that
-    is not a list or a tuple (a str, say) raises ValueError naming it."""
+    function as it is, else a function giving the columns of the entries.
+    An entry that is not a list or a tuple (a str, say) raises ValueError
+    naming it, then a name that is neither a str nor an exact int (which
+    becomes its decimal text), then entries that are not one per vertex."""
     if callable(provenance):
         return provenance
     if not provenance:
@@ -254,23 +257,48 @@ def _stored_names(n: int, provenance):
         for entry in provenance:
             if not isinstance(entry, (list, tuple)):
                 raise ValueError(f"provenance entry {entry!r} is not a list")
-    if (len(provenance) == n and set(map(len, provenance)) == {1}
-            and all(map(eq, chain.from_iterable(provenance), map(str, range(n))))):
+    if not set(map(type, chain.from_iterable(provenance))) <= {str, int}:
+        name = next(x for x in chain.from_iterable(provenance) if type(x) not in (str, int))
+        raise ValueError(f"provenance name {name!r} is neither a str nor an int")
+    flat, counts = _columns_of(provenance)
+    _check_count(n, counts)
+    if set(counts) == {1} and all(map(eq, flat, map(str, range(n)))):
         return None
-    return _provenance(n, tuple(tuple(str(x) for x in entry) for entry in provenance))
+    columns = flat, counts
+    return lambda: columns
+
+
+def _check_count(n: int, counts) -> None:
+    """ValueError unless ``counts`` has one entry per vertex."""
+    if len(counts) != n:
+        raise ValueError("provenance length must equal vertex count")
+
+
+def _columns(n: int, names) -> tuple:
+    """The columns of the names a graph on n vertices keeps as ``names``:
+    ``flat``, each vertex's names in vertex order, and ``counts``, how many
+    names each vertex has; trivial names when ``names`` is None."""
+    if names is None:
+        return [*map(str, range(n))], [1] * n
+    flat, counts = names()
+    _check_count(n, counts)
+    return flat, counts
+
+
+def _columns_of(groups) -> tuple:
+    """The columns of the names in ``groups``, one group per vertex, each
+    name a str or an int by its decimal text."""
+    return [*map(str, chain.from_iterable(groups))], [*map(len, groups)]
 
 
 def _provenance(n: int, names) -> tuple[tuple[str, ...], ...]:
     """The provenance a graph on n vertices keeps as ``names``."""
-    prov = tuple((str(v),) for v in range(n)) if names is None else names
-    prov = prov if type(prov) is tuple else prov()
-    if len(prov) != n:
-        raise ValueError("provenance length must equal vertex count")
-    return prov
+    flat, counts = _columns(n, names)
+    return tuple(map(tuple, map(islice, repeat(iter(flat)), counts)))
 
 
 # A part is what a graph is made of before it is checked: its vertex count,
-# its end columns and the names that ``_provenance`` reads.  Constructions
+# its end columns and the names that ``_columns`` reads.  Constructions
 # build their parts from ranges and remaps and check only the result.
 
 def _part(g: Graph):

@@ -11,18 +11,17 @@ gives the central sum as ``coloring.sums[0]``.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import accumulate, chain
 
 from .graphs import (
     CertificationError,
     Graph,
     Record,
+    _columns,
     _cycle_part,
     _int,
     _ints,
     _part,
-    _provenance,
 )
 from .labelings import EdgeLabeling, Labeled, certify, validate_labeling
 
@@ -76,17 +75,25 @@ def _union(parts: list, attach: list[int]) -> Graph:
         us += map(vmap.__getitem__, part_us)
         vs += map(vmap.__getitem__, part_vs)
         offset += n - 1
-    sources = [(partial(_provenance, n, names), a) for (n, _, _, names), a in zip(parts, attach)]
+    sources = [(n, names, a) for (n, _, _, names), a in zip(parts, attach)]
 
     def provenance():
         central: list[str] = []
-        rest: list[tuple[str, ...]] = []
-        for idx, (source, a) in enumerate(sources):
-            prov = source()
-            prefix = "" if len(sources) == 1 else f"c{idx}."
-            central.extend(prefix + p for p in prov[a])
-            rest.extend(tuple(prefix + p for p in entry) for entry in prov[:a] + prov[a + 1:])
-        return (tuple(central), *rest)
+        flat: list[str] = []
+        counts: list[int] = []
+        for idx, (n, names, a) in enumerate(sources):
+            # Trivial names are rendered from the vertex numbers themselves.
+            part_flat, part_counts = (range(n), [1] * n) if names is None else _columns(n, names)
+            name = f"c{idx}.%s" if len(sources) > 1 else "%s"
+            part_flat = [*map(name.__mod__, part_flat)]
+            start = sum(part_counts[:a])
+            stop = start + part_counts[a]
+            central += part_flat[start:stop]
+            flat += part_flat[:start]
+            flat += part_flat[stop:]
+            counts += part_counts[:a]
+            counts += part_counts[a + 1:]
+        return central + flat, [len(central), *counts]
 
     return Graph._from_ends(offset, tuple(us), tuple(vs), provenance)
 

@@ -333,6 +333,23 @@ def test_a_str_provenance_entry_exits_2(capsys, monkeypatch, args):
                                            """ValueError("provenance entry 'ab' is not a list")\n""")
 
 
+@pytest.mark.parametrize("args", [["verify"], ["export", "json"], ["export", "dot"]])
+def test_a_provenance_name_that_is_neither_a_str_nor_an_int_exits_2(capsys, monkeypatch, args):
+    # These names once exported as "None", "True", "1.5" and "{'a': [1]}", with exit 0.
+    doc = {"graph": {"n": 3, "edges": [[0, 1], [1, 2]],
+                     "provenance": [[None], [True, 1.5], [{"a": [1]}]]}, "labels": [1, 2]}
+    for text in (json.dumps(doc), json.dumps(doc, indent=2)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed 'graph' field: "
+            "ValueError('provenance name None is neither a str nor an int')\n")
+    doc["graph"]["provenance"] = [[7], ["a", 8], ["b"]]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc, indent=2)))
+    assert main(["export", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["graph"]["provenance"] == [["7"], ["a", "8"], ["b"]]
+
+
 def test_transform_union_of_a_conflicting_labeling_is_a_failed_check(capsys, monkeypatch):
     # Two triangles at vertex 0 labeled 1, 4, 2 and 3, 6, 5: vertices 0
     # and 4 both sum to 11.  The labeling is input, so this is no bug.

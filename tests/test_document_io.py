@@ -9,6 +9,7 @@ import itertools
 import json
 import re
 import tempfile
+from json.encoder import encode_basestring_ascii
 from unittest import mock
 
 import pytest
@@ -19,12 +20,19 @@ import local_antimagic.cli as cli
 import local_antimagic.serialize as serialize
 from local_antimagic import (
     EdgeLabeling,
+    FuseCycles,
     Graph,
+    MergeCycle,
     UnionSpec,
+    build_construction_matrix,
     build_cycle,
     c_labeling,
     case_plan,
     merge_vertices,
+    transform_cycle,
+    transform_union,
+    union_2labeling_family1,
+    union_3labeling,
     union_graph,
 )
 from local_antimagic.cli import main
@@ -148,10 +156,18 @@ def documents(draw):
 SMALL_WINDOWS = st.sampled_from([7, 64])
 
 
+def plain_names(text: str) -> bool:
+    """Whether every provenance name of the document ``text`` needs no JSON
+    escape, so that the reader takes its provenance a window at a time."""
+    names = itertools.chain.from_iterable(json.loads(text)["graph"]["provenance"])
+    return all(encode_basestring_ascii(name) == f'"{name}"' for name in names)
+
+
 @settings(max_examples=300, deadline=None)
 @given(documents(), SMALL_WINDOWS)
 def test_the_own_layout_reads_as_json_loads_does(text, window):
-    assert own_layout(text) is not None
+    # A name that needs an escape sends the whole text to json.loads.
+    assert (own_layout(text) is not None) == plain_names(text)
     expected = outcome(text, fallback=True)
     assert outcome(text) == expected
     assert outcome(text + "\n") == outcome(text + "\n", fallback=True)
@@ -247,19 +263,88 @@ def test_a_broken_mark_reads_or_fails_as_under_json_loads(old, new):
     assert outcome(changed) == outcome(changed, fallback=True)
 
 
-def test_an_own_layout_document_reaches_json_loads_only_for_names_and_extra_fields(monkeypatch):
+def test_an_own_layout_document_reaches_json_loads_only_for_extra_fields(monkeypatch):
     slices = []
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda text, **kw: slices.append(text) or loads(text, **kw))
     parse_document(written(build_cycle(5000), c_labeling(5000)) + "\n")
     assert slices == []
+    # Merged and union names are read a window at a time, as edge rows are.
     plan = case_plan(5, 3)
     parse_document(written(merge_vertices(build_cycle(plan.n), plan), None, family="x"))
-    assert len(slices) == 2 and not any('"edges"' in s or '"labels"' in s for s in slices)
-    assert slices[1] == '{\n  "family": "x"\n}'
+    assert slices == ['{\n  "family": "x"\n}']
+    parse_document(written(*union_3labeling(UnionSpec((16, 16)))))
+    assert slices == ['{\n  "family": "x"\n}']
+    # A name that needs an escape sends the whole text to json.loads.
+    text = written(Graph(2, ((0, 1),), [["a"], ['b"']]))
+    parse_document(text)
+    assert slices[1:] == [text]
 
 
 CYCLE_TEXT = written(build_cycle(2000), c_labeling(2000), family="c", colors=[1, 2, 3])
+
+
+def family_texts() -> dict[str, str]:
+    """Documents of the constructions whose vertices carry original names."""
+    plan, u2a = case_plan(5, 3), union_2labeling_family1(9)
+    directives = [*(FuseCycles(2 * i, 2 * i + 1, 3) for i in range(4)),
+                  MergeCycle(8, case_plan(1, 2))]
+    matrix = build_construction_matrix(2, 1)
+    return {"union3": written(*union_3labeling(UnionSpec((16, 16, 18)))),
+            "union2a": written(*u2a),
+            "transform-case": written(*transform_cycle(plan.n, plan), family="4m+1"),
+            "transform-matrix": written(matrix.graph, matrix.labeling, steps=[1, 3]),
+            "transform-union": written(*transform_union(u2a.spec, u2a.labeling, directives))}
+
+
+# One edit inside a provenance: a name changed in place, or the rows around it.
+NAME_EDITS = {
+    "quote": lambda name: name[:2] + '\\"' + name[2:],
+    "raw-quote": lambda name: name[:2] + '"' + name[2:],
+    "backslash": lambda name: name[:2] + "\\\\" + name[2:],
+    "raw-backslash": lambda name: name[:2] + "\\" + name[2:],
+    "non-ascii": lambda name: name[:2] + "\u00e9" + name[2:],
+    "space": lambda name: name[:2] + " " + name[2:],
+    "int": lambda name: "7",
+}
+ROW_EDITS = {  # a pattern and its replacement
+    "split-row": (re.escape(serialize._NAME_SEP), serialize._ROW_SEP),
+    "merged-rows": (re.escape(serialize._ROW_SEP), serialize._NAME_SEP),
+    "entry-too-many": (re.escape(serialize._ROW_SEP),
+                       '"\n      ],\n      [\n        "x' + serialize._ROW_SEP),
+    # The mark and the next row's names go.
+    "entry-too-few": (re.escape(serialize._ROW_SEP) + r'[^\]]*?"(?=\n      \])', '"'),
+}
+
+
+def edited(text: str, edit: str, at: float) -> str | None:
+    """``text`` with ``edit`` made at the share ``at`` of its provenance, or
+    None where the provenance has no place for it."""
+    start = text.index('"provenance": [')
+    stop = text.index("\n    ]", start)
+    if edit in NAME_EDITS:
+        names = [m.span() for m in re.finditer(r'"[^"\n]*"', text[start:stop])][1:]
+        a, b = names[int(at * (len(names) - 1))]
+        return text[:start + a] + NAME_EDITS[edit](text[start + a:start + b]) + text[start + b:]
+    pattern, new = ROW_EDITS[edit]
+    places = [m.span() for m in re.finditer(pattern, text[start:stop])]
+    if not places:
+        return None
+    a, b = places[int(at * (len(places) - 1))]
+    return text[:start + a] + new + text[start + b:]
+
+
+@pytest.mark.parametrize("at", [0.0, 0.5, 1.0], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("edit", [*NAME_EDITS, *ROW_EDITS])
+def test_an_edited_provenance_reads_or_fails_as_under_json_loads(edit, at):
+    for family, text in family_texts().items():
+        changed = edited(text, edit, at)
+        if changed is None:
+            continue
+        assert changed != text, family
+        expected = outcome(changed, fallback=True)
+        assert outcome(changed) == expected, family
+        assert in_windows(changed, 64) == (dict.fromkeys(SOURCES, expected), changed), family
 
 
 @pytest.mark.parametrize(
@@ -290,10 +375,15 @@ def test_the_reader_holds_at_most_two_windows_of_unread_text(monkeypatch, window
 
     monkeypatch.setattr(serialize, "_WINDOW", window)
     monkeypatch.setattr(serialize._Stream, "more", spy)
-    text = written(build_cycle(20000), c_labeling(20000), family="c")
-    g, f, extra = read_document(io.StringIO(text))
-    assert (g.q, len(f), extra) == (20000, 20000, {"family": "c"})
-    assert len(held) > len(text) // window and max(held) < 2 * window
+    plan = case_plan(1, 2500)
+    docs = [(build_cycle(20000), c_labeling(20000)),
+            union_3labeling(UnionSpec((10000, 10000))), transform_cycle(plan.n, plan)]
+    for g, f in docs:
+        text = written(g, f, family="c")
+        held.clear()
+        h, labels, extra = read_document(io.StringIO(text))
+        assert (h, labels, extra) == (g, f, {"family": "c"})
+        assert len(held) > len(text) // window and max(held) < 2 * window
 
 
 @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
@@ -324,11 +414,22 @@ UNION_ARGS = ["transform", "union", "--orders", "3,3", "--directives",
         (["transform", "case", "--case", "1", "--k", "2"], None),
         (["export", "json"], "label c --m 9"),
         (UNION_ARGS, "union"),
+        (["label", "union2a", "--r", "5"], None),
+        (["label", "union2b", "--r", "5"], None),
+        (["label", "union3", "--orders", "16,18"], None),
+        (["transform", "matrix", "--s", "2", "--t", "1"], None),
+        (["transform", "union", "--orders", ",".join(["34"] * 8 + ["16"]), "--directives",
+          '[{"fuse":[0,1],"step":3},{"fuse":[2,3],"step":3},{"fuse":[4,5],"step":3},'
+          '{"fuse":[6,7],"step":3},{"merge":8,"case":1,"k":2}]'], "label union2a --r 9"),
+        (["export", "json"], "label union3 --orders 16,16"),
     ],
     ids=["build", "label-c", "label-circulant", "transform-case", "export-json",
-         "transform-union"],
+         "transform-union", "label-union2a", "label-union2b", "label-union3", "transform-matrix",
+         "transform-union-fused", "export-json-union3"],
 )
 def test_emitted_graphs_build_no_pair_view_and_no_trivial_names(capsys, monkeypatch, args, stdin):
+    # Nor names of any kind: they are rendered from their columns, and
+    # ``verify`` reads the document it emits without building them.
     if stdin == "union":
         doc = document(union_graph(UnionSpec((3, 3))), EdgeLabeling((1, 4, 2, 6, 3, 5)))
         stdin = json.dumps(doc, indent=2)
@@ -345,8 +446,14 @@ def test_emitted_graphs_build_no_pair_view_and_no_trivial_names(capsys, monkeypa
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     assert main(args) == 0
     [g] = graphs
-    assert "edges" not in vars(g)
-    assert g._names is not None or "provenance" not in vars(g)
+    assert "edges" not in vars(g) and "provenance" not in vars(g)
+    read = []
+    monkeypatch.setattr(cli, "read_document", lambda fp: read.append(read_document(fp)) or read[0])
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["verify"]) == (2 if args[0] == "build" else 0)  # a built graph has no labels
+    [(h, _, _)] = read
+    assert (h.n, h.us, h.vs) == (g.n, g.us, g.vs)
+    assert "edges" not in vars(h) and "provenance" not in vars(h)
 
 
 def test_dot_export_reads_the_columns_and_trivial_names():

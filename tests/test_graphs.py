@@ -843,6 +843,15 @@ def test_a_provenance_entry_that_is_not_a_list_is_refused():
         Graph(3, [(0, 1)], [["a"], "ab", ("c",)])
 
 
+@pytest.mark.parametrize("name", [None, True, False, 1.5, [1], {"a": [1]}],
+                         ids=["null", "true", "false", "float", "list", "object"])
+def test_a_provenance_name_that_is_neither_a_str_nor_an_int_is_refused(name):
+    # Such names were once turned into text by str(): null became "None".
+    with pytest.raises(ValueError, match=re.escape(f"provenance name {name!r} is neither")):
+        Graph(2, [(0, 1)], [["a"], ["b", name]])
+    assert Graph(2, [(0, 1)], [[5], ["b", 10**30]]).provenance == (("5",), ("b", str(10**30)))
+
+
 def test_graphs_equal_their_json_round_trip():
     graphs = built_graphs()
     graphs["one_point_union"] = one_point_union([build_cycle(4), build_cycle(3)], [0, 0])
